@@ -9,6 +9,7 @@ Boolean operations and emptiness are then ordinary automaton algorithms.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -121,6 +122,9 @@ def automaton_to_expr(aut: GAutomaton) -> RatExpr:
 # -- string acceptors ------------------------------------------------------
 
 
+_NO_STATES: frozenset[int] = frozenset()
+
+
 class Acceptor:
     """An NFA over signed-letter strings (no silent transitions)."""
 
@@ -141,9 +145,12 @@ class Acceptor:
         self.delta = delta
 
     def step(self, states: frozenset[int], letter: int) -> frozenset[int]:
+        if len(states) == 1:
+            (s,) = states
+            return self.delta.get((s, letter), _NO_STATES)
         out: set[int] = set()
         for s in states:
-            out |= self.delta.get((s, letter), frozenset())
+            out |= self.delta.get((s, letter), _NO_STATES)
         return frozenset(out)
 
     def accepts(self, letters: Sequence[int]) -> bool:
@@ -372,9 +379,9 @@ def difference(a: Acceptor, b: Acceptor) -> Acceptor:
 def shortest_accepted(acc: Acceptor) -> Optional[tuple[int, ...]]:
     """BFS witness string, or None when the language is empty."""
     seen = {acc.initial}
-    queue: list[tuple[frozenset[int], tuple[int, ...]]] = [(acc.initial, ())]
+    queue = deque([(acc.initial, ())])
     while queue:
-        states, string = queue.pop(0)
+        states, string = queue.popleft()
         if states & acc.finals:
             return string
         for a in sorted(acc.alphabet):

@@ -81,8 +81,11 @@ def _syllable(text: str, group: FreeProduct) -> Syllable:
 
 def _load_expr(value: str):
     path = Path(value)
-    text = path.read_text() if path.exists() else value
-    return parse_ratexpr(text)
+    try:
+        is_file = path.exists()
+    except OSError:  # inline text longer than a file name may be
+        is_file = False
+    return parse_ratexpr(path.read_text() if is_file else value)
 
 
 # -- word -------------------------------------------------------------------
@@ -519,6 +522,9 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except RuntimeError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

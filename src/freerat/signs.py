@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from freerat.automata import (
+    Acceptor,
     difference,
-    enumerate_accepted,
     is_empty,
     positive_universe,
     reduced_acceptor,
@@ -419,18 +419,50 @@ class _RetryWindow(Exception):
     pass
 
 
+def deepest_negative(bad: Acceptor, window: int) -> Optional[tuple[int, ...]]:
+    """Among the strings of length <= window that ``bad`` accepts, the first
+    (by length, then lexicographically over the sorted alphabet) whose last
+    negative syllable has the largest index; None when there is none.
+
+    ``bad`` accepts only reduced strings.  A breadth-first search over
+    (states, last letter, syllables so far, index of the last negative
+    syllable) keeps only the first prefix to reach each configuration: two
+    prefixes with one configuration have the same accepted continuations at
+    the same index, and the earlier prefix's extensions come first."""
+    letters = sorted(bad.alphabet)
+    best: Optional[tuple[int, tuple[int, ...]]] = None
+    seen = set()
+    layer = [(bad.initial, 0, 0, 0, ())]
+    for _ in range(window + 1):
+        nxt = []
+        for states, last, syllables, negative, string in layer:
+            if states & bad.finals and (best is None or negative > best[0]):
+                best = (negative, string)
+            for a in letters:
+                stepped = bad.step(states, a)
+                if not stepped:
+                    continue
+                count, index = syllables, negative
+                if abs(a) != abs(last):
+                    count += 1
+                    if a < 0:
+                        index = count
+                config = (stepped, a, count, index)
+                if config not in seen:
+                    seen.add(config)
+                    nxt.append((stepped, a, count, index, string + (a,)))
+        layer = nxt
+    return None if best is None else best[1]
+
+
 def _star_conjugate(l2, w: Word, bad, window: int, n_states: int, depth: int):
     group = FREE_ZZ
-    best = None  # (index, FPElement, Word)
-    for s in enumerate_accepted(bad, window):
-        cand = Word(s)
-        fp = from_f2(cand)
-        idx = last_negative_index(fp, STANDARD_F2_SIGN)
-        if best is None or idx > best[0]:
-            best = (idx, fp, cand)
-    if best is None:
+    s = deepest_negative(bad, window)
+    if s is None:
         raise _RetryWindow("no negative member found in the window")
-    i, lf, l_word = best
+    l_word = Word(s)
+    lf = from_f2(l_word)
+    i = last_negative_index(lf, STANDARD_F2_SIGN)
     factor_id, beta = lf.syllables[i - 1]
     # the positive suffix shared by every member: (l₁…l_{i−1})⁻¹
     sigma = group.element((f, -k) for f, k in reversed(lf.syllables[: i - 1]))

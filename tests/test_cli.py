@@ -80,6 +80,14 @@ def test_rat_member(capsys):
     assert result["member"] is True
 
 
+def test_rat_member_long_inline_expr(capsys):
+    # longer than a file name may be, so the path check itself fails
+    text = "(fin " + " ".join(f"(x1^{k} x2)" for k in range(1, 60)) + ")"
+    assert len(text.encode()) > 300
+    result = run_json(capsys, "rat", "member", "--expr", text, "--word", "x1^7 x2")["result"]
+    assert result["member"] is True
+
+
 def test_rat_positive(capsys):
     result = run_json(
         capsys, "rat", "positive", "--expr", "(star (fin (x2^-1 x1 x2)))"
@@ -258,6 +266,17 @@ def test_refute_replay_failure_exits_nonzero(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "refute", "--word", "x1^2", "--expr", SQUARES_EXPR)
     assert code == 2
     assert "replay" in err
+
+
+def test_refute_runtime_error_exits_3(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise RuntimeError("summand budget exhausted")
+
+    monkeypatch.setattr("freerat.cli.refute", exhausted)
+    code, out, err = run_cli(capsys, "refute", "--word", "x1^2", "--expr", SQUARES_EXPR)
+    assert code == 3
+    assert out == ""
+    assert err == "error: summand budget exhausted\n"
 
 
 def test_refute_rejects_commutator_word(capsys):

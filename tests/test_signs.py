@@ -3,8 +3,9 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle_signs import deepest_negative_by_enumeration
 
-from freerat.automata import equivalent, reduced_acceptor
+from freerat.automata import difference, equivalent, positive_universe, reduced_acceptor
 from freerat.freeprod import FreeProduct, FREE_ZZ
 from freerat.ratexpr import (
     Finite,
@@ -20,6 +21,7 @@ from freerat.signs import (
     SignModel,
     SplitTrace,
     STANDARD_F2_SIGN,
+    deepest_negative,
     first_negative_index,
     is_positive,
     last_negative_index,
@@ -309,6 +311,48 @@ def test_positivize_star_negative_base_deeper():
     assert result.trace["case"] == "star-conjugated"
     assert result.trace["negative_index"] == 2
     assert result.trace["conjugator"] == "x1 x2"
+
+
+def _bad(base):
+    return difference(reduced_acceptor(base), positive_universe(2))
+
+
+def _mixed_sign_word(rng):
+    while True:
+        w = Word(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(2, 5)))
+        if any(a > 0 for a in w.letters) and any(a < 0 for a in w.letters):
+            return w
+
+
+def _star_bases():
+    # the benchmark's star-conjugated bases c⁻¹·s·c
+    conjugated = [("x2", "x1"), ("x2", "x2 x1"), ("x1", "x2"), ("x1", "x1 x2")]
+    bases = [Finite([parse_word(c).inv() * parse_word(s) * parse_word(c)]) for s, c in conjugated]
+    bases.append(finite("x2^-1 x1^-1 x2 x1 x2"))
+    rng = random.Random(1103)
+    for _ in range(4):
+        bases.append(Finite({_mixed_sign_word(rng) for _ in range(rng.randint(1, 2))}))
+    bases.append(Product(finite("x1^-1"), Star(finite("x2 x1^-1"))))
+    # prefixes here share state, last letter and negative index but not
+    # their syllable count, so the count must stay in the configuration
+    bases.append(Product(Star(finite("x1", "x2 x1")), finite("x2^-1", "x1^2")))
+    return bases
+
+
+@pytest.mark.parametrize("base", _star_bases(), ids=str)
+def test_deepest_negative_matches_enumeration(base):
+    bad = _bad(base)
+    for window in range(9):
+        assert deepest_negative(bad, window) == deepest_negative_by_enumeration(bad, window)
+
+
+def test_deepest_negative_matches_enumeration_at_full_window():
+    base = finite("x1^-1 x2 x1")
+    acc = reduced_acceptor(base)
+    assert acc.n_states == 5
+    bad = _bad(base)
+    window = min(2 * acc.n_states, 12)
+    assert deepest_negative(bad, window) == deepest_negative_by_enumeration(bad, window)
 
 
 def test_positivize_union_inside_star():
