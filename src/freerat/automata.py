@@ -122,9 +122,6 @@ def automaton_to_expr(aut: GAutomaton) -> RatExpr:
 # -- string acceptors ------------------------------------------------------
 
 
-_NO_STATES: frozenset[int] = frozenset()
-
-
 class Acceptor:
     """An NFA over signed-letter strings (no silent transitions)."""
 
@@ -145,12 +142,9 @@ class Acceptor:
         self.delta = delta
 
     def step(self, states: frozenset[int], letter: int) -> frozenset[int]:
-        if len(states) == 1:
-            (s,) = states
-            return self.delta.get((s, letter), _NO_STATES)
         out: set[int] = set()
         for s in states:
-            out |= self.delta.get((s, letter), _NO_STATES)
+            out |= self.delta.get((s, letter), frozenset())
         return frozenset(out)
 
     def accepts(self, letters: Sequence[int]) -> bool:

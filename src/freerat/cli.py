@@ -16,6 +16,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from freerat.automata import member
+from freerat.errors import GaveUp
 from freerat.freeprod import (
     FREE_ZZ,
     FreeProduct,
@@ -522,7 +523,7 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except RuntimeError as err:
+    except GaveUp as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

@@ -33,6 +33,7 @@ from freerat.automata import (
     enumerate_accepted,
     intersect_positive,
 )
+from freerat.errors import GaveUp
 from freerat.freeprod import FREE_ZZ, Syllable, from_f2, to_f2
 from freerat.ratexpr import (
     RatExpr,
@@ -436,7 +437,7 @@ def refute(
     else:
         sf = standard_form(automaton_to_expr(_acceptor_automaton(acc)))
     if len(sf.summands) > summand_limit:
-        raise RuntimeError(
+        raise GaveUp(
             f"{len(sf.summands)} summands exceed the analysis budget"
         )
 

@@ -26,6 +26,7 @@ from freerat.automata import (
     reduced_acceptor,
     shortest_accepted,
 )
+from freerat.errors import GaveUp
 from freerat.freeprod import (
     FPElement,
     FreeProduct,
@@ -321,7 +322,7 @@ def positivize_total(expr: RatExpr, *, depth_cap: int = 48) -> Positivized:
 
 def _positivize(expr: RatExpr, left: Word, right: Word, depth: int):
     if depth <= 0:
-        raise RuntimeError("positivization recursion exceeded the depth cap")
+        raise GaveUp("positivization recursion exceeded the depth cap")
 
     if isinstance(expr, Finite):
         elements = sorted(left * g * right for g in expr.elements)
@@ -379,7 +380,7 @@ def _positivize_product(l1: RatExpr, l2: RatExpr, left: Word, right: Word, depth
             "sample_cap": cap,
             "children": [t1, t2],
         }
-    raise RuntimeError(
+    raise GaveUp(
         f"no middle element found for the product split ({last_error})"
     )
 
@@ -410,7 +411,7 @@ def _positivize_star(l1: RatExpr, left: Word, right: Word, depth: int):
         except _RetryWindow as err:
             last_error = err
             window += 4
-    raise RuntimeError(
+    raise GaveUp(
         f"no conforming deepest negative member within the search window ({last_error})"
     )
 
@@ -433,11 +434,13 @@ def deepest_negative(bad: Acceptor, window: int) -> Optional[tuple[int, ...]]:
     best: Optional[tuple[int, tuple[int, ...]]] = None
     seen = set()
     layer = [(bad.initial, 0, 0, 0, ())]
-    for _ in range(window + 1):
+    for length in range(window + 1):
         nxt = []
         for states, last, syllables, negative, string in layer:
             if states & bad.finals and (best is None or negative > best[0]):
                 best = (negative, string)
+            if length == window:
+                continue
             for a in letters:
                 stepped = bad.step(states, a)
                 if not stepped:

@@ -24,6 +24,7 @@ from freerat.freeprod import (
     support,
     to_f2,
 )
+from freerat.errors import GaveUp
 from freerat.gaps import FamilyReport, unbounded_family
 from freerat.signs import is_positive, standard_sign
 from freerat.words import (
@@ -393,7 +394,7 @@ def _refute_dichotomy(
             if support(cyclic_form(u)) - support(cyclic_form(v)):
                 family = unbounded_family(p, u, v, q, n_max=max(4, budget), e=e)
                 return _certified_member(family, w)
-    raise RuntimeError("no refuting pair found; raise the probe budget")
+    raise GaveUp("no refuting pair found; raise the probe budget")
 
 
 def _certified_member(family: FamilyReport, w: Word) -> RefutedCase:

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from freerat.cli import SCHEMA_ID, main
+from freerat.errors import GaveUp
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "freerat" / "schemas" / "report.schema.json").read_text()
@@ -270,13 +271,22 @@ def test_refute_replay_failure_exits_nonzero(capsys, monkeypatch):
 
 def test_refute_runtime_error_exits_3(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
-        raise RuntimeError("summand budget exhausted")
+        raise GaveUp("summand budget exhausted")
 
     monkeypatch.setattr("freerat.cli.refute", exhausted)
     code, out, err = run_cli(capsys, "refute", "--word", "x1^2", "--expr", SQUARES_EXPR)
     assert code == 3
     assert out == ""
     assert err == "error: summand budget exhausted\n"
+
+
+def test_refute_internal_check_failure_is_not_an_exit_status(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("refuted-branch witness not accepted; embedding bug")
+
+    monkeypatch.setattr("freerat.cli.refute", broken)
+    with pytest.raises(RuntimeError, match="embedding bug"):
+        main(["refute", "--word", "x1^2", "--expr", SQUARES_EXPR])
 
 
 def test_refute_rejects_commutator_word(capsys):
