@@ -84,72 +84,3 @@ from freerat.refuter import (  # noqa: F401
     replay_report,
     witness_word,
 )
-
-__all__ = [
-    "IDENTITY",
-    "Word",
-    "WordClass",
-    "bezout_coefficients",
-    "bezout_substitution",
-    "classify",
-    "cyclic_reduce",
-    "exponent_gcd",
-    "exponent_profile",
-    "format_word",
-    "generator",
-    "parse_word",
-    "root_extract",
-    "substitute",
-    "FREE_ZZ",
-    "FPElement",
-    "FreeProduct",
-    "cyclic_form",
-    "format_fp",
-    "fp_substitute",
-    "parse_fp",
-    "Finite",
-    "Product",
-    "RatExpr",
-    "Star",
-    "StandardForm",
-    "Union",
-    "enumerate_bounded",
-    "format_ratexpr",
-    "parse_ratexpr",
-    "standard_form",
-    "Acceptor",
-    "enumerate_accepted",
-    "intersect_positive",
-    "member",
-    "NotPositiveError",
-    "Positivized",
-    "positive_witness",
-    "positivize",
-    "positivize_total",
-    "split_product",
-    "GapProfile",
-    "ScanConfig",
-    "criterion_scan",
-    "family_member",
-    "gamma",
-    "gap_profile",
-    "unbounded_family",
-    "CommonSupportCase",
-    "Membership",
-    "RefutedCase",
-    "SingleAxisCase",
-    "VerbalQuery",
-    "abelianized_verbal",
-    "certify_nonvalue",
-    "enumerate_values",
-    "is_value",
-    "support_dichotomy_check",
-    "w_length",
-    "DecompositionScheme",
-    "RefutationReport",
-    "decomposable",
-    "extract_scheme",
-    "refute",
-    "replay_report",
-    "witness_word",
-]

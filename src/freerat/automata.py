@@ -122,30 +122,72 @@ def automaton_to_expr(aut: GAutomaton) -> RatExpr:
 # -- string acceptors ------------------------------------------------------
 
 
-class Acceptor:
-    """An NFA over signed-letter strings (no silent transitions)."""
+def _bits(mask: int) -> Iterator[int]:
+    """The states of a state-set mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    __slots__ = ("alphabet", "initial", "finals", "delta", "n_states")
+
+class Acceptor:
+    """An automaton over signed-letter strings, NFA and DFA alike.
+
+    States are 0..n_states-1 and a set of states is an int mask, bit s for
+    state s: ``initial``, ``finals`` and the argument and result of
+    :meth:`step`.  ``table[p][i]`` is the mask of the states p reaches by
+    the letter ``letters[i]``; ``letters`` is the alphabet in the iteration
+    order of the ``alphabet`` frozenset, the order in which the worklist
+    constructions below visit letters.  A DFA's rows hold single bits.
+    """
+
+    __slots__ = ("alphabet", "letters", "position", "table", "n_states", "initial", "finals")
 
     def __init__(
         self,
         alphabet: frozenset[int],
-        n_states: int,
-        initial: frozenset[int],
-        finals: frozenset[int],
-        delta: dict[tuple[int, int], frozenset[int]],
+        table: Sequence[tuple[int, ...]],
+        initial: int,
+        finals: int,
     ):
         self.alphabet = alphabet
-        self.n_states = n_states
+        self.letters = tuple(alphabet)
+        self.position = {a: i for i, a in enumerate(self.letters)}
+        self.table = tuple(table)
+        self.n_states = len(self.table)
         self.initial = initial
         self.finals = finals
-        self.delta = delta
 
-    def step(self, states: frozenset[int], letter: int) -> frozenset[int]:
-        out: set[int] = set()
-        for s in states:
-            out |= self.delta.get((s, letter), frozenset())
-        return frozenset(out)
+    @classmethod
+    def from_transitions(
+        cls,
+        alphabet: frozenset[int],
+        n_states: int,
+        transitions: Iterable[tuple[int, int, int]],
+        initial: int,
+        finals: int,
+    ) -> "Acceptor":
+        """The acceptor with exactly these (p, letter, q) transitions."""
+        position = {a: i for i, a in enumerate(alphabet)}
+        rows = [[0] * len(position) for _ in range(n_states)]
+        for p, a, q in transitions:
+            rows[p][position[a]] |= 1 << q
+        return cls(alphabet, [tuple(row) for row in rows], initial, finals)
+
+    def step(self, states: int, letter: int) -> int:
+        i = self.position.get(letter)
+        out = 0
+        if i is not None:
+            for s in _bits(states):
+                out |= self.table[s][i]
+        return out
+
+    def successors(self, states: int) -> list[int]:
+        """``step(states, letter)`` for every letter, by position."""
+        out = [0] * len(self.letters)
+        for s in _bits(states):
+            out = [x | y for x, y in zip(out, self.table[s])]
+        return out
 
     def accepts(self, letters: Sequence[int]) -> bool:
         states = self.initial
@@ -158,20 +200,72 @@ class Acceptor:
     def accepts_word(self, w: Word) -> bool:
         return self.accepts(w.letters)
 
+    def transitions(self) -> Iterator[tuple[int, int, int]]:
+        """Every transition (p, letter, q), by p, then letter position, then q."""
+        for p, row in enumerate(self.table):
+            for a, targets in zip(self.letters, row):
+                for q in _bits(targets):
+                    yield p, a, q
 
-def _closure(eps: dict[int, set[int]], n: int) -> list[set[int]]:
-    # Reflexive-transitive closure of the silent edges.
-    out = []
-    for s in range(n):
-        seen = {s}
-        stack = [s]
-        while stack:
-            p = stack.pop()
-            for q in eps.get(p, ()):
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        out.append(seen)
+
+def _closures(eps: list[int], lanes: list[int]) -> list[int]:
+    """Per state s, ``lanes[s]`` ORed over the reflexive-transitive silent
+    closure of s (``eps[s]`` is the mask of silent successors of s).
+
+    One pass of Tarjan's algorithm: a strongly connected component is
+    finished only after every component it reaches, and all its states
+    share one closure, so each component costs one OR per member and one
+    per silent edge leaving it."""
+    n = len(eps)
+    order = [0] * n  # discovery number, 1-based; 0 = not yet visited
+    low = [0] * n
+    out = [0] * n  # nonzero once the state's component is finished
+    stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        counter += 1
+        order[root] = low[root] = counter
+        stack.append(root)
+        frames = [[root, eps[root]]]  # state, silent successors not yet tried
+        while frames:
+            frame = frames[-1]
+            v, rest = frame
+            if rest:
+                bit = rest & -rest
+                frame[1] = rest ^ bit
+                t = bit.bit_length() - 1
+                if not order[t]:
+                    counter += 1
+                    order[t] = low[t] = counter
+                    stack.append(t)
+                    frames.append([t, eps[t]])
+                elif not out[t] and order[t] < low[v]:
+                    low[v] = order[t]  # t is still on the stack
+                continue
+            frames.pop()
+            if frames and low[v] < low[frames[-1][0]]:
+                low[frames[-1][0]] = low[v]
+            if low[v] != order[v]:
+                continue
+            members = []
+            while True:
+                t = stack.pop()
+                members.append(t)
+                if t == v:
+                    break
+            inside = 0
+            leaving = 0
+            lane = 0
+            for m in members:
+                inside |= 1 << m
+                leaving |= eps[m]
+                lane |= lanes[m]
+            for t in _bits(leaving & ~inside):
+                lane |= out[t]
+            for m in members:
+                out[m] = lane
     return out
 
 
@@ -186,10 +280,10 @@ def saturate(aut: GAutomaton, alphabet: Optional[frozenset[int]] = None) -> Acce
     # (i) split multi-letter labels
     n = aut.n_states
     letter_edges: list[tuple[int, int, int]] = []
-    eps: dict[int, set[int]] = {}
+    silent: list[tuple[int, int]] = []
     for p, w, q in aut.transitions:
         if not w.letters:
-            eps.setdefault(p, set()).add(q)
+            silent.append((p, q))
             continue
         prev = p
         for a in w.letters[:-1]:
@@ -198,95 +292,90 @@ def saturate(aut: GAutomaton, alphabet: Optional[frozenset[int]] = None) -> Acce
             n += 1
         letter_edges.append((prev, w.letters[-1], q))
 
-    # (ii) silent-edge fixpoint: p --ℓ--> r ~~> s --ℓ⁻¹--> q adds p ~~> q
-    by_source: dict[tuple[int, int], set[int]] = {}
+    # A state's lane packs its own bit (bits 0..n-1) and, for the letter at
+    # position i, the mask of its one-letter successors (bits (i+1)n..).
+    # Positions: the alphabet first, then any other letter on an edge.
+    letters = tuple(alphabet)
+    letters += tuple(sorted({a for _, a, _ in letter_edges} - alphabet))
+    position = {a: i for i, a in enumerate(letters)}
+    full = (1 << n) - 1
+    eps = [0] * n
+    for p, q in silent:
+        eps[p] |= 1 << q
+    lanes = [1 << s for s in range(n)]
     for p, a, q in letter_edges:
-        by_source.setdefault((p, a), set()).add(q)
-    changed = True
-    while changed:
-        changed = False
-        closure = _closure(eps, n)
-        for p, a, r in letter_edges:
-            for s in closure[r]:
-                for q in by_source.get((s, -a), ()):
-                    if q not in eps.setdefault(p, set()):
-                        eps[p].add(q)
-                        changed = True
+        lanes[p] |= 1 << ((position[a] + 1) * n + q)
+
+    # (ii) silent-edge fixpoint: p --ℓ--> r ~~> s --ℓ⁻¹--> q adds p ~~> q
+    cancelling = [
+        (p, (position[-a] + 1) * n, r) for p, a, r in letter_edges if -a in position
+    ]
+    while True:
+        closed = _closures(eps, lanes)
+        grew = False
+        for p, shift, r in cancelling:
+            new = closed[r] >> shift & full & ~closed[p]
+            if new:
+                eps[p] |= new
+                grew = True
+        if not grew:
+            break
 
     # (iii) silent-edge elimination, then restriction to reduced strings
-    closure = _closure(eps, n)
-    finals = {p for p in range(n) if closure[p] & aut.finals}
-    delta: dict[tuple[int, int], set[int]] = {}
-    for p in range(n):
-        for s in closure[p]:
-            for a in alphabet:
-                targets = by_source.get((s, a))
-                if targets:
-                    delta.setdefault((p, a), set()).update(targets)
-
-    return _restrict_reduced(
-        Acceptor(
-            alphabet,
-            n,
-            frozenset([aut.initial]),
-            frozenset(finals),
-            {k: frozenset(v) for k, v in delta.items()},
-        )
-    )
+    finals = sum(1 << f for f in aut.finals)
+    table = [
+        tuple(lane >> ((i + 1) * n) & full for i in range(len(alphabet)))
+        for lane in closed
+    ]
+    closes_final = sum(1 << p for p in range(n) if closed[p] & finals)
+    return _restrict_reduced(alphabet, table, aut.initial, closes_final)
 
 
-def _restrict_reduced(acc: Acceptor) -> Acceptor:
+def _restrict_reduced(
+    alphabet: frozenset[int], table: list[tuple[int, ...]], initial: int, finals: int
+) -> Acceptor:
     """Product with the two-letter-window automaton of reduced strings."""
-    # Pair states (q, last letter or 0); forbid following ℓ by ℓ⁻¹.
-    pairs: dict[tuple[int, int], int] = {}
-
-    def pid(q: int, last: int) -> int:
-        return pairs.setdefault((q, last), len(pairs))
-
-    init = frozenset(pid(q, 0) for q in acc.initial)
-    delta: dict[tuple[int, int], set[int]] = {}
-    work = list(pairs)
-    done = set()
+    # Pair states (q, position of the last letter or -1); forbid following
+    # ℓ by ℓ⁻¹.  The pairs that q reaches by the letter at position i do
+    # not depend on the last letter, so each (q, i) is expanded once.
+    letters = tuple(alphabet)
+    inverse = [letters.index(-a) if -a in alphabet else -1 for a in letters]
+    pairs: dict[tuple[int, int], int] = {(initial, -1): 0}
+    images: dict[tuple[int, int], int] = {}
+    rows: dict[int, tuple[int, ...]] = {}
+    work = [(initial, -1)]
     while work:
         q, last = work.pop()
-        if (q, last) in done:
-            continue
-        done.add((q, last))
-        src = pairs[(q, last)]
-        for a in acc.alphabet:
-            if last != 0 and a == -last:
+        skip = inverse[last] if last >= 0 else -1
+        row = [0] * len(letters)
+        for i, targets in enumerate(table[q]):
+            if i == skip:
                 continue
-            targets = acc.delta.get((q, a))
-            if not targets:
-                continue
-            for t in targets:
-                delta.setdefault((src, a), set()).add(pid(t, a))
-                if (t, a) not in done:
-                    work.append((t, a))
-    finals = frozenset(
-        i for (q, last), i in pairs.items() if q in acc.finals
-    )
-    return Acceptor(
-        acc.alphabet,
-        len(pairs),
-        init,
-        finals,
-        {k: frozenset(v) for k, v in delta.items()},
-    )
+            image = images.get((q, i))
+            if image is None:
+                image = 0
+                for t in _bits(targets):
+                    j = pairs.get((t, i))
+                    if j is None:
+                        j = pairs[(t, i)] = len(pairs)
+                        work.append((t, i))
+                    image |= 1 << j
+                images[(q, i)] = image
+            row[i] = image
+        rows[pairs[(q, last)]] = tuple(row)
+    out_finals = sum(1 << j for (q, _), j in pairs.items() if finals >> q & 1)
+    return Acceptor(alphabet, [rows[j] for j in range(len(pairs))], 1, out_finals)
 
 
 # -- determinization and Boolean operations --------------------------------
 
 
 def determinize(acc: Acceptor) -> Acceptor:
-    """Complete DFA (as a 1-element-per-set Acceptor) over acc.alphabet."""
-    ids: dict[frozenset[int], int] = {}
-
-    def sid(states: frozenset[int]) -> int:
-        return ids.setdefault(states, len(ids))
-
-    start = sid(acc.initial)
-    delta: dict[tuple[int, int], frozenset[int]] = {}
+    """Complete DFA over acc.alphabet; the empty set, once reached, is its
+    dead state.  States are numbered in the order a last-in first-out
+    worklist finds them, visiting letters in ``acc.letters`` order."""
+    ids: dict[int, int] = {acc.initial: 0}
+    rows: dict[int, list[int]] = {}
     work = [acc.initial]
     seen = set()
     while work:
@@ -294,45 +383,48 @@ def determinize(acc: Acceptor) -> Acceptor:
         if states in seen:
             continue
         seen.add(states)
-        src = ids[states]
-        for a in acc.alphabet:
-            nxt = acc.step(states, a)
-            delta[(src, a)] = frozenset([sid(nxt)])
+        row = rows[ids[states]] = []
+        for nxt in acc.successors(states):
+            row.append(ids.setdefault(nxt, len(ids)))
             if nxt not in seen:
                 work.append(nxt)
-    finals = frozenset(i for s, i in ids.items() if s & acc.finals)
-    return Acceptor(acc.alphabet, len(ids), frozenset([start]), finals, delta)
+    finals = sum(1 << i for states, i in ids.items() if states & acc.finals)
+    unit = [1 << i for i in range(len(ids))]  # one int per state, shared by all rows
+    return Acceptor(
+        acc.alphabet, [tuple(unit[j] for j in rows[i]) for i in range(len(ids))], 1, finals
+    )
 
 
 def intersect(a: Acceptor, b: Acceptor) -> Acceptor:
     alphabet = a.alphabet | b.alphabet
-    ids: dict[tuple[frozenset[int], frozenset[int]], int] = {}
-
-    def sid(pair) -> int:
-        return ids.setdefault(pair, len(ids))
-
+    letters = tuple(alphabet)
+    in_a = [a.position.get(x) for x in letters]
+    in_b = [b.position.get(x) for x in letters]
     start = (a.initial, b.initial)
-    sid(start)
-    delta: dict[tuple[int, int], frozenset[int]] = {}
+    ids: dict[tuple[int, int], int] = {start: 0}
+    rows: dict[int, list[int]] = {}
     work = [start]
     seen = set()
     while work:
-        pa, pb = work.pop()
-        if (pa, pb) in seen:
+        pair = work.pop()
+        if pair in seen:
             continue
-        seen.add((pa, pb))
-        src = ids[(pa, pb)]
-        for letter in alphabet:
-            na, nb = a.step(pa, letter), b.step(pb, letter)
+        seen.add(pair)
+        next_a, next_b = a.successors(pair[0]), b.successors(pair[1])
+        row = rows[ids[pair]] = []
+        for i, j in zip(in_a, in_b):
+            na = 0 if i is None else next_a[i]
+            nb = 0 if j is None else next_b[j]
             if not na or not nb:
+                row.append(-1)
                 continue
-            delta[(src, letter)] = frozenset([sid((na, nb))])
+            row.append(ids.setdefault((na, nb), len(ids)))
             if (na, nb) not in seen:
                 work.append((na, nb))
-    finals = frozenset(
-        i for (pa, pb), i in ids.items() if (pa & a.finals) and (pb & b.finals)
-    )
-    return Acceptor(alphabet, len(ids), frozenset([ids[start]]), finals, delta)
+    finals = sum(1 << i for (pa, pb), i in ids.items() if pa & a.finals and pb & b.finals)
+    unit = [1 << i for i in range(len(ids))]
+    table = [tuple(0 if j < 0 else unit[j] for j in rows[i]) for i in range(len(ids))]
+    return Acceptor(alphabet, table, 1, finals)
 
 
 def reduced_universe(alphabet: frozenset[int]) -> Acceptor:
@@ -340,46 +432,41 @@ def reduced_universe(alphabet: frozenset[int]) -> Acceptor:
     # state 0 = start; state of letter ℓ = its index in the sorted alphabet + 1
     letters = sorted(alphabet)
     index = {a: i + 1 for i, a in enumerate(letters)}
-    delta: dict[tuple[int, int], frozenset[int]] = {}
-    for a in letters:
-        delta[(0, a)] = frozenset([index[a]])
-    for last in letters:
-        for a in letters:
-            if a != -last:
-                delta[(index[last], a)] = frozenset([index[a]])
+    transitions = [(0, a, index[a]) for a in letters]
+    transitions += [(index[last], a, index[a]) for last in letters for a in letters if a != -last]
     n = len(letters) + 1
-    return Acceptor(alphabet, n, frozenset([0]), frozenset(range(n)), delta)
+    return Acceptor.from_transitions(alphabet, n, transitions, 1, (1 << n) - 1)
 
 
 def complement_reduced(acc: Acceptor) -> Acceptor:
     """Reduced strings not accepted by acc."""
     dfa = determinize(acc)
-    flipped = Acceptor(
-        dfa.alphabet,
-        dfa.n_states,
-        dfa.initial,
-        frozenset(range(dfa.n_states)) - dfa.finals,
-        dfa.delta,
-    )
+    every = (1 << dfa.n_states) - 1
+    flipped = Acceptor(dfa.alphabet, dfa.table, dfa.initial, every & ~dfa.finals)
     return intersect(flipped, reduced_universe(acc.alphabet))
 
 
 def difference(a: Acceptor, b: Acceptor) -> Acceptor:
     if a.alphabet - b.alphabet:
-        b = Acceptor(a.alphabet | b.alphabet, b.n_states, b.initial, b.finals, b.delta)
+        alphabet = a.alphabet | b.alphabet
+        where = [b.position.get(x) for x in alphabet]
+        table = [tuple(0 if i is None else row[i] for i in where) for row in b.table]
+        b = Acceptor(alphabet, table, b.initial, b.finals)
     return intersect(a, complement_reduced(b))
 
 
 def shortest_accepted(acc: Acceptor) -> Optional[tuple[int, ...]]:
     """BFS witness string, or None when the language is empty."""
+    by_letter = sorted(zip(acc.letters, range(len(acc.letters))))
     seen = {acc.initial}
     queue = deque([(acc.initial, ())])
     while queue:
         states, string = queue.popleft()
         if states & acc.finals:
             return string
-        for a in sorted(acc.alphabet):
-            nxt = acc.step(states, a)
+        stepped = acc.successors(states)
+        for a, i in by_letter:
+            nxt = stepped[i]
             if nxt and nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, string + (a,)))
@@ -396,16 +483,17 @@ def equivalent(a: Acceptor, b: Acceptor) -> bool:
 
 def enumerate_accepted(acc: Acceptor, max_len: int) -> Iterator[tuple[int, ...]]:
     """All accepted strings of length <= max_len (lexicographic by length)."""
-    layer: list[tuple[frozenset[int], tuple[int, ...]]] = [(acc.initial, ())]
+    by_letter = sorted(zip(acc.letters, range(len(acc.letters))))
+    layer: list[tuple[int, tuple[int, ...]]] = [(acc.initial, ())]
     for _ in range(max_len + 1):
         nxt = []
         for states, string in layer:
             if states & acc.finals:
                 yield string
-            for a in sorted(acc.alphabet):
-                stepped = acc.step(states, a)
-                if stepped:
-                    nxt.append((stepped, string + (a,)))
+            stepped = acc.successors(states)
+            for a, i in by_letter:
+                if stepped[i]:
+                    nxt.append((stepped[i], string + (a,)))
         layer = nxt
 
 
@@ -413,11 +501,9 @@ def acceptor_to_json(acc: Acceptor) -> dict:
     return {
         "alphabet": sorted(acc.alphabet),
         "states": acc.n_states,
-        "initial": sorted(acc.initial),
-        "terminals": sorted(acc.finals),
-        "transitions": sorted(
-            [p, a, q] for (p, a), targets in acc.delta.items() for q in targets
-        ),
+        "initial": list(_bits(acc.initial)),
+        "terminals": list(_bits(acc.finals)),
+        "transitions": sorted([p, a, q] for p, a, q in acc.transitions()),
     }
 
 
@@ -440,8 +526,7 @@ def member(expr: RatExpr, g: Word) -> bool:
 def positive_universe(rank: int = 2) -> Acceptor:
     """All strings over the positive letters 1..rank (no inverses)."""
     alphabet = frozenset(range(1, rank + 1))
-    delta = {(0, a): frozenset([0]) for a in alphabet}
-    return Acceptor(alphabet, 1, frozenset([0]), frozenset([0]), delta)
+    return Acceptor.from_transitions(alphabet, 1, [(0, a, 0) for a in alphabet], 1, 1)
 
 
 def intersect_positive(expr: RatExpr) -> Acceptor:

@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from freerat.automata import member
+from freerat.automata import enumerate_accepted, member, reduced_acceptor
 from freerat.errors import GaveUp
 from freerat.freeprod import (
     FREE_ZZ,
@@ -26,7 +26,7 @@ from freerat.freeprod import (
     parse_fp,
 )
 from freerat.gaps import ScanConfig, criterion_scan, gap_profile, unbounded_family
-from freerat.ratexpr import enumerate_bounded, format_ratexpr, parse_ratexpr
+from freerat.ratexpr import format_ratexpr, parse_ratexpr
 from freerat.refuter import refute, replay_report
 from freerat.signs import positive_witness, positivize
 from freerat.verbal import (
@@ -40,6 +40,7 @@ from freerat.verbal import (
     w_length,
 )
 from freerat.words import (
+    Word,
     bezout_coefficients,
     classify,
     exponent_gcd,
@@ -162,7 +163,7 @@ def _rat_positive(args) -> int:
 
 def _rat_enumerate(args) -> int:
     expr = _load_expr(args.expr)
-    words = sorted(enumerate_bounded(expr, args.cap_len))
+    words = sorted(Word(s) for s in enumerate_accepted(reduced_acceptor(expr), args.cap_len))
     result = {
         "expression": format_ratexpr(expr),
         "cap": args.cap_len,

@@ -264,67 +264,75 @@ def _summands(expr: RatExpr) -> list[Summand]:
 # -- s-expression text form ------------------------------------------------
 
 
+MAX_DEPTH = 200  # operators an expression may nest; the tree walks recurse
+
+
 def parse_ratexpr(text: str) -> RatExpr:
     """Parse `(fin ...)`, `(union e1 e2)`, `(prod e1 e2)`, `(star e)`.
 
     Inside `fin`, an element is a single word atom or a parenthesized atom
-    sequence: `(fin x1 (x2 x1^-1))` denotes {x₁, x₂x₁⁻¹}.  Errors carry the
-    1-based token position.
+    sequence: `(fin x1 (x2 x1^-1))` denotes {x₁, x₂x₁⁻¹}.  Operators may
+    nest at most MAX_DEPTH deep.  Errors carry the 1-based token position.
     """
-    raw = text.replace("(", " ( ").replace(")", " ) ").split()
-    tokens = [(i, t) for i, t in enumerate(raw, start=1)]
-    expr, rest = _parse_node(tokens)
-    if rest:
-        pos, tok = rest[0]
-        raise ValueError(f"trailing tokens at position {pos}: {tok!r}")
-    return expr
-
-
-_Tokens = list[tuple[int, str]]
-
-
-def _parse_node(tokens: _Tokens) -> tuple[RatExpr, _Tokens]:
-    if not tokens:
-        raise ValueError("unexpected end of expression")
-    pos, tok = tokens[0]
-    if tok != "(":
-        raise ValueError(f"expected '(' at position {pos}, got {tok!r}")
-    if len(tokens) < 2:
-        raise ValueError(f"missing operator after '(' at position {pos}")
-    head_pos, head = tokens[1]
-    rest = tokens[2:]
-    if head == "fin":
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    n = len(tokens)
+    i = 0  # index of the next token; its position is i + 1
+    open_ops: list[tuple[str, int, list[RatExpr]]] = []  # (operator, position, operands)
+    while True:
+        # parse a node starting at token i
+        if i >= n:
+            raise ValueError("unexpected end of expression")
+        if tokens[i] != "(":
+            raise ValueError(f"expected '(' at position {i + 1}, got {tokens[i]!r}")
+        if i + 1 >= n:
+            raise ValueError(f"missing operator after '(' at position {i + 1}")
+        head, head_pos = tokens[i + 1], i + 2
+        i += 2
+        if head in ("union", "prod", "star"):
+            if len(open_ops) == MAX_DEPTH:
+                raise ValueError(
+                    f"operators nest deeper than {MAX_DEPTH} levels at position {head_pos}"
+                )
+            open_ops.append((head, head_pos, []))
+            continue
+        if head != "fin":
+            raise ValueError(f"unknown operator at position {head_pos}: {head!r}")
         words = []
-        while rest and rest[0][1] != ")":
-            if rest[0][1] == "(":
-                close = next((i for i, (_, t) in enumerate(rest) if t == ")"), None)
-                if close is None:
-                    raise ValueError(f"missing ')' after position {rest[0][0]}")
-                words.append(parse_word(" ".join(t for _, t in rest[1:close])))
-                rest = rest[close + 1 :]
+        while i < n and tokens[i] != ")":
+            if tokens[i] == "(":
+                try:
+                    close = tokens.index(")", i)
+                except ValueError:
+                    raise ValueError(f"missing ')' after position {i + 1}") from None
+                words.append(parse_word(" ".join(tokens[i + 1 : close])))
+                i = close + 1
             else:
-                words.append(parse_word(rest[0][1]))
-                rest = rest[1:]
-        if not rest:
+                words.append(parse_word(tokens[i]))
+                i += 1
+        if i >= n:
             raise ValueError(f"missing ')' for fin at position {head_pos}")
-        return Finite(words), rest[1:]
-    if head in ("union", "prod"):
-        left, rest = _parse_node(rest)
-        right, rest = _parse_node(rest)
-        if not rest or rest[0][1] != ")":
-            raise ValueError(
-                f"({head} ...) at position {head_pos} takes exactly two sub-expressions"
-            )
-        cls = Union if head == "union" else Product
-        return cls(left, right), rest[1:]
-    if head == "star":
-        inner, rest = _parse_node(rest)
-        if not rest or rest[0][1] != ")":
-            raise ValueError(
-                f"(star ...) at position {head_pos} takes exactly one sub-expression"
-            )
-        return Star(inner), rest[1:]
-    raise ValueError(f"unknown operator at position {head_pos}: {head!r}")
+        i += 1
+        node: RatExpr = Finite(words)
+        # hand the node to the innermost open operator, closing every
+        # operator that it completes
+        while open_ops:
+            head, head_pos, operands = open_ops[-1]
+            operands.append(node)
+            if head != "star" and len(operands) == 1:
+                break
+            if i >= n or tokens[i] != ")":
+                arity = "exactly one sub-expression" if head == "star" else "exactly two sub-expressions"
+                raise ValueError(f"({head} ...) at position {head_pos} takes {arity}")
+            i += 1
+            open_ops.pop()
+            if head == "star":
+                node = Star(node)
+            else:
+                node = (Union if head == "union" else Product)(*operands)
+        if not open_ops:
+            if i < n:
+                raise ValueError(f"trailing tokens at position {i + 1}: {tokens[i]!r}")
+            return node
 
 
 def format_ratexpr(expr: RatExpr) -> str:

@@ -277,12 +277,12 @@ def _trim(acc: Acceptor) -> Acceptor:
     """Restrict to states both reachable and co-reachable."""
     fwd: dict[int, set[int]] = {}
     bwd: dict[int, set[int]] = {}
-    for (p, _), targets in acc.delta.items():
-        for q in targets:
-            fwd.setdefault(p, set()).add(q)
-            bwd.setdefault(q, set()).add(p)
+    for p, _, q in acc.transitions():
+        fwd.setdefault(p, set()).add(q)
+        bwd.setdefault(q, set()).add(p)
 
-    def bfs(seed, edges):
+    def bfs(mask, edges):
+        seed = [s for s in range(acc.n_states) if mask >> s & 1]
         seen = set(seed)
         queue = deque(seed)
         while queue:
@@ -295,43 +295,35 @@ def _trim(acc: Acceptor) -> Acceptor:
 
     useful = bfs(acc.initial, fwd) & bfs(acc.finals, bwd)
     if not useful:
-        return Acceptor(acc.alphabet, 1, frozenset(), frozenset(), {})
+        return Acceptor.from_transitions(acc.alphabet, 1, [], 0, 0)
     index = {s: i for i, s in enumerate(sorted(useful))}
-    delta = {}
-    for (p, a), targets in acc.delta.items():
-        if p in index:
-            kept = frozenset(index[q] for q in targets if q in index)
-            if kept:
-                delta[(index[p], a)] = kept
-    return Acceptor(
-        acc.alphabet,
-        len(index),
-        frozenset(index[s] for s in acc.initial if s in index),
-        frozenset(index[s] for s in acc.finals if s in index),
-        delta,
+    kept = [(index[p], a, index[q]) for p, a, q in acc.transitions() if p in index and q in index]
+
+    def renumbered(mask):
+        return sum(1 << i for s, i in index.items() if mask >> s & 1)
+
+    return Acceptor.from_transitions(
+        acc.alphabet, len(index), kept, renumbered(acc.initial), renumbered(acc.finals)
     )
 
 
 def _acceptor_automaton(acc: Acceptor) -> GAutomaton:
     """Letter transitions become one-letter Word labels for state elimination."""
-    transitions = [
-        (p, Word([a]), q)
-        for (p, a), targets in sorted(acc.delta.items())
-        for q in sorted(targets)
-    ]
-    initials = sorted(acc.initial)
+    transitions = [(p, Word([a]), q) for p, a, q in sorted(acc.transitions())]
+    initials = [s for s in range(acc.n_states) if acc.initial >> s & 1]
+    finals = frozenset(s for s in range(acc.n_states) if acc.finals >> s & 1)
     if len(initials) == 1:
-        return GAutomaton(acc.n_states, initials[0], acc.finals, tuple(transitions))
+        return GAutomaton(acc.n_states, initials[0], finals, tuple(transitions))
     hub = acc.n_states
     transitions += [(hub, IDENTITY, p) for p in initials]
-    return GAutomaton(acc.n_states + 1, hub, acc.finals, tuple(transitions))
+    return GAutomaton(acc.n_states + 1, hub, finals, tuple(transitions))
 
 
 def _is_acyclic(acc: Acceptor) -> bool:
     """True when the (trimmed) acceptor has no cycle, i.e. finite language."""
     fwd: dict[int, set[int]] = {}
-    for (p, _), targets in acc.delta.items():
-        fwd.setdefault(p, set()).update(targets)
+    for p, _, q in acc.transitions():
+        fwd.setdefault(p, set()).add(q)
     color: dict[int, int] = {}
 
     def visit(s: int) -> bool:

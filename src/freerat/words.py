@@ -256,10 +256,12 @@ def root_extract(u: Word, e: int) -> Optional[Word]:
 # -- text form ------------------------------------------------------------
 
 _ATOM = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
+MAX_WORD_LETTERS = 100_000  # letters a parsed word may spell out before reduction
 
 
 def parse_word(text: str) -> Word:
-    """Parse the ``x<k>[^<exp>]`` grammar; ``1`` is the identity."""
+    """Parse the ``x<k>[^<exp>]`` grammar; ``1`` is the identity.  The
+    atoms may spell out at most MAX_WORD_LETTERS letters."""
     letters: list[int] = []
     for pos, token in enumerate(text.split(), start=1):
         if token == "1":
@@ -273,6 +275,10 @@ def parse_word(text: str) -> Word:
                 f"generator index must be >= 1 at position {pos}: {token!r}"
             )
         k = int(m.group(2)) if m.group(2) is not None else 1
+        if len(letters) + abs(k) > MAX_WORD_LETTERS:
+            raise ValueError(
+                f"word longer than {MAX_WORD_LETTERS} letters at position {pos}"
+            )
         letters.extend([i if k > 0 else -i] * abs(k))
     return Word(letters)
 

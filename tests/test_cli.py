@@ -3,6 +3,7 @@ validation, CSV hand-off, byte-determinism, and exit codes."""
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -10,6 +11,8 @@ import pytest
 
 from freerat.cli import SCHEMA_ID, main
 from freerat.errors import GaveUp
+from freerat.ratexpr import MAX_DEPTH
+from freerat.words import MAX_WORD_LETTERS
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "freerat" / "schemas" / "report.schema.json").read_text()
@@ -103,6 +106,17 @@ def test_rat_enumerate(capsys):
     )["result"]
     assert result["count"] == 3
     assert result["words"] == ["1", "x1 x2", "x1 x2 x1 x2"]
+
+
+def test_rat_enumerate_is_exact(capsys):
+    # x1^6 x1^-6: the bounded unrolling dropped the identity at cap 0
+    leaves = ["(fin x1)"] * 6 + ["(fin x1^-1)"] * 6
+    text = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        text = f"(prod {leaf} {text})"
+    result = run_json(capsys, "rat", "enumerate", "--expr", text, "--cap-len", "0")["result"]
+    assert result["count"] == 1
+    assert result["words"] == ["1"]
 
 
 def test_rat_expr_from_file(capsys, tmp_path):
@@ -339,6 +353,36 @@ def test_parse_errors_carry_positions(capsys):
     code, _, err = run_cli(capsys, "fp", "reduce", "a qq")
     assert code == 1
     assert "position 2" in err
+
+
+def _nested_stars(depth):
+    return "(star " * depth + "(fin x1)" + ")" * depth
+
+
+def test_rat_member_at_the_nesting_limit(capsys):
+    result = run_json(
+        capsys, "rat", "member", "--expr", _nested_stars(MAX_DEPTH), "--word", "x1^3"
+    )["result"]
+    assert result["member"] is True
+
+
+def test_rat_member_nesting_past_the_limit_is_bad_input(capsys):
+    code, out, err = run_cli(
+        capsys, "rat", "member", "--expr", _nested_stars(MAX_DEPTH + 1), "--word", "x1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(MAX_DEPTH) in err
+
+
+def test_word_reduce_rejects_a_huge_exponent(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "word", "reduce", "x1^1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err == f"error: word longer than {MAX_WORD_LETTERS} letters at position 1\n"
 
 
 def test_gaps_profile_rejects_multi_syllable_b(capsys):
