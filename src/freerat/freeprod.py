@@ -84,13 +84,28 @@ class FPElement:
     def __mul__(self, other: "FPElement") -> "FPElement":
         if not isinstance(other, FPElement):
             return NotImplemented
-        if self.group != other.group:
+        group = self.group
+        if group is not other.group and group != other.group:
             raise ValueError("elements of different free products")
-        return FPElement(self.group, self.syllables + other.syllables)
+        # Both sides are normal forms, so syllables merge only across the
+        # seam: same-factor ends merge, and a merge that gives the identity
+        # brings the next two ends (again of one factor) together.
+        a, b = self.syllables, other.syllables
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1][0] == b[j][0]:
+            f = b[j][0]
+            merged = group.factors[f].canon(a[i - 1][1] + b[j][1])
+            if merged:
+                return _normal_element(group, a[: i - 1] + ((f, merged),) + b[j + 1 :])
+            i -= 1
+            j += 1
+        return _normal_element(group, a[:i] + b[j:])
 
     def inv(self) -> "FPElement":
-        return FPElement(
-            self.group, tuple((f, -k) for f, k in reversed(self.syllables))
+        factors = self.group.factors
+        return _normal_element(
+            self.group,
+            tuple((f, factors[f].canon(-k)) for f, k in reversed(self.syllables)),
         )
 
     __invert__ = inv
@@ -136,6 +151,19 @@ class FPElement:
         return f"FPElement({format_fp(self)!r})"
 
 
+def _normal_element(group: FreeProduct, syllables: tuple[Syllable, ...]) -> FPElement:
+    """An FPElement over ``syllables`` without normalising them again.
+
+    Invariant: ``syllables`` is a tuple in normal form for ``group``:
+    adjacent syllables come from different factors and every exponent is
+    canonical (``canon(k) == k``) and nonzero.  Input from outside goes
+    through ``group.element(...)``, which normalises it."""
+    u = object.__new__(FPElement)
+    object.__setattr__(u, "group", group)
+    object.__setattr__(u, "syllables", syllables)
+    return u
+
+
 def _normalize(group: FreeProduct, syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
     out: list[Syllable] = []
     for f, k in syllables:
@@ -162,14 +190,6 @@ def syllable_length(u: FPElement) -> int:
 def support(u: FPElement) -> frozenset[Syllable]:
     """The set of distinct syllables in the normal form."""
     return frozenset(u.syllables)
-
-
-def syllable_inverse(group: FreeProduct, s: Syllable) -> Syllable:
-    f, k = s
-    inv = group.factors[f].canon(-k)
-    if inv == 0:
-        raise ValueError("syllable inverse is the factor identity")
-    return (f, inv)
 
 
 @dataclass(frozen=True)
@@ -226,7 +246,7 @@ def cyclic_equal(u: FPElement, v: FPElement) -> bool:
 
 def reversal(u: FPElement) -> FPElement:
     """Reverse the syllable order (an anti-automorphism keeping each syllable)."""
-    return FPElement(u.group, tuple(reversed(u.syllables)))
+    return _normal_element(u.group, u.syllables[::-1])
 
 
 # -- the F₂ ≅ ℤ∗ℤ identification ------------------------------------------

@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from freerat.freeprod import (
     FPElement,
     FreeProduct,
     FREE_ZZ,
     Syllable,
+    _normal_element,
     cyclic_form,
     fp_substitute,
     support,
-    syllable_inverse,
 )
 from freerat.words import Word, WordClass, classify, exponent_gcd
 
@@ -59,34 +58,33 @@ class GapProfile:
         return sum(1 for _, (db, dbi) in self.table if (db - dbi) % e != 0)
 
 
-def _gap_counts(syllables, b) -> dict[int, int]:
-    out: dict[int, int] = {}
-    prev: Optional[int] = None
-    for idx, s in enumerate(syllables):
-        if s != b:
-            continue
-        if prev is not None:
-            dist = idx - prev
-            assert dist % 2 == 0, "same-factor syllables alternate at even distance"
-            k = dist // 2
-            out[k] = out.get(k, 0) + 1
-        prev = idx
-    return out
-
-
 def gap_profile(u: FPElement, b: Syllable) -> GapProfile:
-    """Scan the normal form of u once for b and once for b⁻¹."""
+    """Scan the normal form of u once, counting the gaps of b and of b⁻¹.
+
+    When b is its own inverse both columns count the same gaps."""
     group = u.group
     fid, exp = b
-    canon = group.factors[fid].canon(exp)
+    factor = group.factors[fid]
+    canon = factor.canon(exp)
     if canon == 0:
         raise ValueError("the gap syllable must not be the identity")
     b = (fid, canon)
-    b_inv = syllable_inverse(group, b)
-    counts = _gap_counts(u.syllables, b)
-    counts_inv = _gap_counts(u.syllables, b_inv)
-    keys = sorted(set(counts) | set(counts_inv))
-    table = tuple((k, (counts.get(k, 0), counts_inv.get(k, 0))) for k in keys)
+    b_inv = (fid, factor.canon(-canon))
+    counts: dict[int, list[int]] = {}
+    prev = [-1, -1]  # index of the last b and of the last b⁻¹
+    for idx, s in enumerate(u.syllables):
+        if s != b and s != b_inv:
+            continue
+        col = s != b
+        if prev[col] >= 0:
+            dist = idx - prev[col]
+            assert dist % 2 == 0, "same-factor syllables alternate at even distance"
+            counts.setdefault(dist // 2, [0, 0])[col] += 1
+        prev[col] = idx
+    if b == b_inv:  # every b-gap is also a b⁻¹-gap
+        for pair in counts.values():
+            pair[1] = pair[0]
+    table = tuple((k, tuple(counts[k])) for k in sorted(counts))
     return GapProfile(group, b, table)
 
 
@@ -124,18 +122,19 @@ class ScanReport:
 
 
 def _random_element(rng: random.Random, group: FreeProduct, config: ScanConfig) -> FPElement:
-    fids = list(group.factors)
+    # The syllables alternate between the factors and every exponent is
+    # canonical and nonzero, so the list is already a normal form.
+    factors = [(fid, factor.modulus) for fid, factor in group.factors.items()]
     start = rng.randrange(2)
     out = []
     for k in range(rng.randrange(config.max_syllables + 1)):
-        fid = fids[(start + k) % 2]
-        factor = group.factors[fid]
-        if factor.modulus is None:
-            exp = rng.choice([-1, 1]) * rng.randint(1, config.max_exponent)
+        fid, modulus = factors[(start + k) % 2]
+        if modulus is None:
+            exp = rng.choice((-1, 1)) * rng.randint(1, config.max_exponent)
         else:
-            exp = rng.randint(1, factor.modulus - 1)
+            exp = rng.randint(1, modulus - 1)
         out.append((fid, exp))
-    return group.element(out)
+    return _normal_element(group, tuple(out))
 
 
 def criterion_scan(

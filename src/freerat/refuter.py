@@ -324,18 +324,29 @@ def _is_acyclic(acc: Acceptor) -> bool:
     fwd: dict[int, set[int]] = {}
     for p, _, q in acc.transitions():
         fwd.setdefault(p, set()).add(q)
+    # Depth-first search with an explicit stack, so a long chain of states
+    # (a long finite leaf) does not hit the recursion limit.  Colour 1 marks
+    # a state on the current path, colour 2 a finished one.
     color: dict[int, int] = {}
-
-    def visit(s: int) -> bool:
-        color[s] = 1
-        for t in fwd.get(s, ()):
-            c = color.get(t, 0)
-            if c == 1 or (c == 0 and not visit(t)):
-                return False
-        color[s] = 2
-        return True
-
-    return all(visit(s) for s in range(acc.n_states) if color.get(s, 0) == 0)
+    for root in range(acc.n_states):
+        if root in color:
+            continue
+        color[root] = 1
+        stack = [(root, iter(fwd.get(root, ())))]
+        while stack:
+            s, successors = stack[-1]
+            for t in successors:
+                c = color.get(t, 0)
+                if c == 1:
+                    return False
+                if c == 0:
+                    color[t] = 1
+                    stack.append((t, iter(fwd.get(t, ()))))
+                    break
+            else:
+                color[s] = 2
+                stack.pop()
+    return True
 
 
 # -- refutation pipeline ----------------------------------------------------

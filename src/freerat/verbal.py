@@ -108,7 +108,7 @@ def _fp_ball(group: FreeProduct, cap: int) -> tuple[FPElement, ...]:
                 if fid == last:
                     continue
                 for e in exps[fid]:
-                    nxt.append(group.element(u.syllables + ((fid, e),)))
+                    nxt.append(u * group.syllable(fid, e))
         out.extend(nxt)
         layer = nxt
     return tuple(out)

@@ -27,6 +27,17 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _reduced_word(letters: tuple[int, ...]) -> "Word":
+    """A Word over ``letters`` without reducing them again.
+
+    Invariant: ``letters`` is a tuple of nonzero ints that is already
+    freely reduced (no letter next to its inverse).  Input from outside
+    goes through ``Word(...)``, which reduces it."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 class Word:
     """A freely reduced word.  Immutable and hashable."""
 
@@ -43,10 +54,16 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
+        # Both sides are reduced, so letters cancel only across the seam.
+        a, b = self.letters, other.letters
+        n, m = len(a), min(len(a), len(b))
+        i = 0
+        while i < m and a[n - 1 - i] == -b[i]:
+            i += 1
+        return _reduced_word(a[: n - i] + b[i:])
 
     def inv(self) -> "Word":
-        return Word(tuple(-a for a in reversed(self.letters)))
+        return _reduced_word(tuple(-a for a in reversed(self.letters)))
 
     __invert__ = inv
 

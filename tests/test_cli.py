@@ -260,6 +260,15 @@ def test_refute_missing_value_stdout(capsys):
     assert result["witness"] == " ".join(["x1^2 x2"] * 8)
 
 
+def test_refute_long_finite_leaf(capsys):
+    # A 1,500-letter leaf trims to a chain of 1,500 states; the acyclicity
+    # check walks it without recursing once per state.
+    payload = run_json(capsys, "refute", "--word", "x1^2", "--expr", "(fin x1^1500)")
+    result = payload["result"]
+    assert result["outcome"] == "missing-value"
+    assert result["replayed"] is True
+
+
 def test_refute_writes_report_file(capsys, tmp_path):
     sexp = tmp_path / "squares.sexp"
     sexp.write_text(SQUARES_EXPR)

@@ -70,6 +70,21 @@ def test_normalize_examples():
     assert naive_normalize(H, u.syllables + v.syllables) == ()
 
 
+def test_product_cascades_across_the_seam():
+    H = FreeProduct(a=2)
+    u = H.element([("b", 1), ("a", 1), ("b", 2), ("a", 1), ("b", -1)])
+    v = H.element([("b", 1), ("a", 1), ("b", -2), ("a", 1), ("b", 3)])
+    # b⁻¹·b, a·a (mod 2) and b²·b⁻² cancel, a·a cancels, then b·b³ merges
+    assert (u * v).syllables == (("b", 4),)
+    assert (u * v).syllables == naive_normalize(H, u.syllables + v.syllables)
+    K = FreeProduct(a=4, b=6)
+    u = K.element([("a", 1), ("b", 5), ("a", 3)])
+    v = K.element([("a", 1), ("b", 1), ("a", 1)])
+    # a³·a is the identity mod 4 and b⁵·b mod 6, leaving a·a = a²
+    assert (u * v).syllables == (("a", 2),)
+    assert u.inv().syllables == (("a", 1), ("b", 1), ("a", 3))
+
+
 def test_length_support_examples():
     G = FreeProduct()
     u = G.element([("a", 1), ("b", 2), ("a", 1)])
@@ -157,8 +172,16 @@ def test_group_laws(group):
             [(rng.choice("ab"), rng.randint(-4, 4)) for _ in range(rng.randint(0, 8))]
         )
 
+    def inverse_syllables(u):
+        return tuple((f, -k) for f, k in reversed(u.syllables))
+
     for _ in range(400):
         u, v, w = rand(), rand(), rand()
+        # Seam products and inverses against the naive oracle; u⁻¹·w makes
+        # the product u·(u⁻¹·w) cancel all of u, merge after merge.
+        for x, y in ((u, v), (v, w), (u, u.inv() * w), (u.inv(), u * v)):
+            assert (x * y).syllables == naive_normalize(group, x.syllables + y.syllables)
+        assert u.inv().syllables == naive_normalize(group, inverse_syllables(u))
         assert (u * v) * w == u * (v * w)
         assert u * u.inv() == group.identity
         assert u.inv().inv() == u

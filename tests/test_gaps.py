@@ -4,12 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_gaps import gap_table
 from oracle_squares import exhaustive_square_gamma_max
 from freerat.freeprod import FREE_ZZ, FreeProduct, fp_substitute, to_f2
 from freerat.gaps import (
     FamilyReport,
     GapProfile,
     ScanConfig,
+    _random_element as scan_sample,
     criterion_scan,
     family_member,
     gamma,
@@ -111,6 +113,29 @@ def test_inverse_mirrors_profile():
         direct = gap_profile(u, B1).as_dict()
         mirrored = gap_profile(u.inv(), B1).as_dict()
         assert mirrored == {k: (dbi, db) for k, (db, dbi) in direct.items()}
+
+
+@pytest.mark.parametrize(
+    "group,targets",
+    [
+        (G, (B1, ("b", -2), ("a", 1))),
+        # b¹ is its own inverse in ℤ/2: each gap counts in both columns
+        (FreeProduct(b=2), (("b", 1), ("a", -1))),
+        (FreeProduct(a=4, b=6), (("b", 3), ("b", 2), ("a", 1), ("a", 2))),
+    ],
+)
+def test_profile_matches_two_pass_oracle(group, targets):
+    rng = random.Random(317)
+    config = ScanConfig(max_syllables=14, max_exponent=3)
+    for _ in range(300):
+        x, y = scan_sample(rng, group, config), scan_sample(rng, group, config)
+        # the sampler builds its normal forms directly; renormalising keeps them
+        assert group.element(x.syllables).syllables == x.syllables
+        u = x * y
+        for fid, exp in targets:
+            b = (fid, group.factors[fid].canon(exp))
+            b_inv = (fid, group.factors[fid].canon(-exp))
+            assert gap_profile(u, b).as_dict() == gap_table(u.syllables, b, b_inv)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,15 @@
-"""Pinned stdout of ``refute`` and ``sign positivize``, as SHA-256 digests.
+"""Pinned stdout of ``refute``, ``sign positivize``, ``gaps`` and ``fp``,
+as SHA-256 digests.
 
 The refuter rebuilds an expression for a positive part by state
 elimination over the states of ``intersect``, so the last five refute
 cases change when ``intersect`` numbers its states in another order.  DFA
 numbering itself is pinned transition by transition in
 ``test_saturate_oracle.py``.
+
+The ``gaps scan`` cases pin the order of the seeded random draws as well
+as the free-product normal forms of the sampled values; the ``gaps
+profile`` cases include a finite factor where b is its own inverse.
 """
 import hashlib
 
@@ -71,6 +76,44 @@ GOLDEN = [
      "4212c9c4d97e7b1954f85a344a62381f5014d7c9f327c73e57cc1da94eb7dca7"),
     (("sign", "positivize", "--expr", "(union (fin (x2^-1 x1 x2)) (star (fin (x2^-1 x1^2 x2))))", "--left", "x2"),
      "d36d7351a06d25a3c81f5ca17078109e5dbdcc0211a77f91e87c2c48f8a44413"),
+    (("gaps", "scan", "--word", "x1^2", "--b", "b^1", "--samples", "40", "--seed", "1", "--cap-len", "6"),
+     "87018bc302c3ad2523d081d6042b462565aba13d8bd80466263948bb76827277"),
+    (("gaps", "scan", "--word", "x1^2", "--b", "b^1", "--samples", "40", "--seed", "2", "--cap-len", "12"),
+     "81fbb7ccbd2c5ebd32cb5eecc894c40a34697422780f2652323a274391cd9a4e"),
+    (("gaps", "scan", "--word", "x1^2", "--b", "b^1", "--samples", "30", "--seed", "3", "--cap-len", "20"),
+     "0bfd5d55ca28490d11d301e82a90f4a9b1e0747e95a3056511677f5b46e4815e"),
+    (("gaps", "scan", "--word", "x1^2 x2^2", "--b", "b^1", "--samples", "40", "--seed", "4", "--cap-len", "6"),
+     "9ae987f2f6f85ed51d665dfd8713241087d183591423d4ac34f2bdd25da08ce8"),
+    (("gaps", "scan", "--word", "x1^2 x2^2", "--b", "b^1", "--samples", "30", "--seed", "5", "--cap-len", "20"),
+     "e195ad094956b7bf6ef85f2fa3001915287d6e7a3133a04a1b0996f198affa7e"),
+    (("gaps", "scan", "--word", "x1^2", "--b", "b^1", "--samples", "40", "--seed", "6", "--cap-len", "14", "--b-mod", "6"),
+     "126ceeb0970e0a360d537bcb4ff9f13cde8e9013d37db956cd1314e27b4c859e"),
+    (("gaps", "scan", "--word", "x1^2 x2^2", "--b", "b^2", "--samples", "30", "--seed", "7", "--cap-len", "20", "--b-mod", "6"),
+     "976a1260136d3d36598f3f80d3e9f1605b729f4fcab48a37ab1b32fa36576d8a"),
+    (("gaps", "scan", "--word", "x1^2", "--b", "a^1", "--samples", "40", "--seed", "8", "--cap-len", "10", "--a-mod", "4"),
+     "fde3e1d610c883e4bbea8315d8dc64510e6d33dab14af623380496a7cd370cae"),
+    (("gaps", "scan", "--word", "x1^2", "--b", "b^-1", "--samples", "40", "--seed", "9", "--cap-len", "16", "--max-exponent", "3"),
+     "fbe0aae7c5b50640d578224b46cb8e25f69e8100a7283e81763f3820344986f5"),
+    (("gaps", "scan", "--word", "x1^2 x2^2", "--b", "b^1", "--e", "2", "--samples", "30", "--seed", "10", "--cap-len", "8", "--a-mod", "4", "--b-mod", "6"),
+     "5a08f31c48a8cb50c8d347dbc76499f26cb37363d97b95bca149fc1f82a1c94f"),
+    (("gaps", "profile", "--u", "b a b a^2 b^-1 a b", "--b", "b^1"),
+     "bd24316fba3b368ffee1abc4018c00426b6d69ac248b35074ec969c3dc26c180"),
+    (("gaps", "profile", "--u", "b a b a^2 b", "--b", "b^1", "--b-mod", "2"),
+     "e1e918227c2bef8020a3c84eb920b79bb7b53c180bfd18d6eed188c77d584c03"),
+    (("gaps", "profile", "--u", "b^2 a b^-2 a b^5 a^-3 b^2 a b^4 a b^-4", "--b", "b^2", "--b-mod", "6"),
+     "43b62587d0fc468dd87ea9af4d4fb4f0d650182427499de1dea40036029be21c"),
+    (("gaps", "family", "--u", "a b^2", "--v", "a b", "--n", "5"),
+     "1439e5d9b93714c5a389c06e1cb93b9804eceb755f10125e9336abd64de34e94"),
+    (("gaps", "family", "--p", "b", "--u", "a^2 b^3", "--v", "a b^2 a b", "--q", "a", "--n", "4", "--e", "3"),
+     "957f443a1a9e481ee5565fd3323b2362003dc76c0564d75329d7db0f2f16a05d"),
+    (("fp", "reduce", "a b b^-1 a b^3 b^-3 a^-2 b a^5 a^-5", "--a-mod", "4"),
+     "0263829989b6fd954f72baaf2fc64bc2e2f01d692d4de72986ea808f6e99813f"),
+    (("fp", "reduce", "a^3 b^2 b^4 a a^2 b a^-1", "--a-mod", "3", "--b-mod", "6"),
+     "711522535c8c291e511806848e3324777b2d4dfac72e500b3ae1d333b0c56507"),
+    (("fp", "cyclic", "b^-1 a^2 b a b^3 a^-1 b^-3 a^-1 b"),
+     "4dda7a176317c9fd6add6f79fe457ffb2a4989b1cef3fc744ddb651f922d4ef2"),
+    (("fp", "cyclic", "a b^2 a^3 b^-2 a", "--a-mod", "5"),
+     "d953e8eec4f48f4b1e29624b310ad5cb76fea318b1abfb3cd0ab86e32e0880a0"),
 ]
 
 

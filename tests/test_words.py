@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from freerat.words import (
     IDENTITY,
+    _reduce,
     Word,
     WordClass,
     bezout_coefficients,
@@ -144,6 +145,11 @@ def test_reduce_matches_scan_oracle(raw):
 
 @given(words_st, words_st, words_st)
 def test_group_laws(u, v, w):
+    # Seam products and inverses against reduction of the concatenation;
+    # u·(u⁻¹·w) cancels all of u across the seam.
+    for x, y in ((u, v), (v, w), (u, u.inv() * w), (u.inv(), u * v)):
+        assert (x * y).letters == _reduce(x.letters + y.letters)
+    assert u.inv().letters == _reduce(tuple(-a for a in reversed(u.letters)))
     assert (u * v) * w == u * (v * w)
     assert u * u.inv() == IDENTITY
     assert u.inv().inv() == u
