@@ -34,7 +34,6 @@ from freerat.ratexpr import (  # noqa: F401
     Star,
     StandardForm,
     Union,
-    enumerate_bounded,
     format_ratexpr,
     parse_ratexpr,
     standard_form,
@@ -79,7 +78,6 @@ from freerat.refuter import (  # noqa: F401
     DecompositionScheme,
     RefutationReport,
     decomposable,
-    extract_scheme,
     refute,
     replay_report,
     witness_word,

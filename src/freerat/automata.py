@@ -481,30 +481,49 @@ def equivalent(a: Acceptor, b: Acceptor) -> bool:
     return is_empty(difference(a, b)) and is_empty(difference(b, a))
 
 
+def live_states(acc: Acceptor) -> int:
+    """Mask of the live states: those from which some final state is
+    reachable.  One backward search over a reverse-edge index, linear in
+    the number of transitions."""
+    preds: list[list[int]] = [[] for _ in range(acc.n_states)]
+    for p, row in enumerate(acc.table):
+        targets = 0
+        for mask in row:
+            targets |= mask
+        for q in _bits(targets):
+            preds[q].append(p)
+    live = acc.finals
+    work = list(_bits(live))
+    while work:
+        for p in preds[work.pop()]:
+            if not live >> p & 1:
+                live |= 1 << p
+                work.append(p)
+    return live
+
+
 def enumerate_accepted(acc: Acceptor, max_len: int) -> Iterator[tuple[int, ...]]:
-    """All accepted strings of length <= max_len (lexicographic by length)."""
+    """All accepted strings of length <= max_len (lexicographic by length).
+
+    Only prefixes that keep a live state are expanded, so a complete DFA's
+    dead state costs nothing."""
+    live = live_states(acc)
     by_letter = sorted(zip(acc.letters, range(len(acc.letters))))
-    layer: list[tuple[int, tuple[int, ...]]] = [(acc.initial, ())]
-    for _ in range(max_len + 1):
+    start = acc.initial & live
+    layer: list[tuple[int, tuple[int, ...]]] = [(start, ())] if start else []
+    for length in range(max_len + 1):
         nxt = []
         for states, string in layer:
             if states & acc.finals:
                 yield string
+            if length == max_len:
+                continue
             stepped = acc.successors(states)
             for a, i in by_letter:
-                if stepped[i]:
-                    nxt.append((stepped[i], string + (a,)))
+                kept = stepped[i] & live
+                if kept:
+                    nxt.append((kept, string + (a,)))
         layer = nxt
-
-
-def acceptor_to_json(acc: Acceptor) -> dict:
-    return {
-        "alphabet": sorted(acc.alphabet),
-        "states": acc.n_states,
-        "initial": list(_bits(acc.initial)),
-        "terminals": list(_bits(acc.finals)),
-        "transitions": sorted([p, a, q] for p, a, q in acc.transitions()),
-    }
 
 
 # -- expression-level membership -------------------------------------------

@@ -118,8 +118,9 @@ class FPElement:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __len__(self) -> int:
@@ -233,15 +234,6 @@ def cyclic_form(u: FPElement) -> FPElement:
     merged = core.group.factors[f].canon(syl[-1][1] + syl[0][1])
     assert merged != 0  # guaranteed: the core's ends do not cancel
     return core.group.element(syl[1:-1] + ((f, merged),))
-
-
-def cyclic_equal(u: FPElement, v: FPElement) -> bool:
-    """Equality of cyclic forms as cyclic words (up to rotation)."""
-    cu, cv = cyclic_form(u), cyclic_form(v)
-    if len(cu) != len(cv):
-        return False
-    n = len(cu)
-    return any(cu.syllables[r:] + cu.syllables[:r] == cv.syllables for r in range(max(n, 1)))
 
 
 def reversal(u: FPElement) -> FPElement:

@@ -2,17 +2,16 @@
 
 A :class:`RatExpr` is a tree of Finite / Union / Product / Star nodes with a
 cached structural complexity: 0 for Finite leaves, otherwise one more than
-the largest child complexity.  Denotations are explored exactly at desk
-scale by :func:`enumerate_bounded`, which unrolls stars with a working
-length bound slightly above the requested cap so that products whose
-factors overshoot and cancel back down are still found.
+the largest child complexity.  Questions about the denoted set (membership,
+enumeration, emptiness, positivity) are answered on its saturated acceptor,
+``freerat.automata.reduced_acceptor``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable
 
-from freerat.words import IDENTITY, Word, format_word, parse_word, substitute
+from freerat.words import IDENTITY, Word, format_word, parse_word
 
 
 class RatExpr:
@@ -107,73 +106,6 @@ def max_rank(expr: RatExpr) -> int:
     return max((w.max_generator() for w in leaf_words(expr)), default=0)
 
 
-# -- bounded enumeration ---------------------------------------------------
-
-
-def _product_join(left: set[Word], right: set[Word], cap: int) -> set[Word]:
-    """{u·v : |u·v| <= cap}, joined via an index on right prefixes so that
-    only pairs capable of cancelling down under the cap are multiplied."""
-    by_prefix: dict[tuple[int, tuple[int, ...]], list[Word]] = {}
-    for v in right:
-        for k in range(len(v) + 1):
-            by_prefix.setdefault((k, v.letters[:k]), []).append(v)
-    for bucket in by_prefix.values():
-        bucket.sort(key=len)
-    out: set[Word] = set()
-    for u in left:
-        n = len(u)
-        for k in range(n + 1):
-            suffix_inv = tuple(-a for a in reversed(u.letters[n - k :]))
-            bucket = by_prefix.get((k, suffix_inv))
-            if bucket is None:
-                continue
-            for v in bucket:
-                if n + len(v) - 2 * k > cap:
-                    break  # sorted by length; no later v fits
-                prod = u * v
-                if len(prod) <= cap:
-                    out.add(prod)
-    return out
-
-
-def enumerate_bounded(expr: RatExpr, max_len: int, slack: Optional[int] = None) -> set[Word]:
-    """All denoted elements of reduced length <= max_len.
-
-    Stars are unrolled breadth-first keeping partial products up to
-    ``max_len + slack`` letters; the slack absorbs factor pairs that
-    overshoot the cap before cancelling back under it.  A product can
-    shrink by at most the shorter factor's length, so for leaf words of
-    length L a slack of 2L covers every single-step overshoot; the default
-    uses that bound.
-    """
-    if slack is None:
-        max_leaf = max((len(w) for w in leaf_words(expr)), default=0)
-        slack = 2 * max_leaf + 2
-    work_cap = max_len + slack
-    result = _enumerate(expr, work_cap)
-    return {w for w in result if len(w) <= max_len}
-
-
-def _enumerate(expr: RatExpr, cap: int) -> set[Word]:
-    if isinstance(expr, Finite):
-        return {w for w in expr.elements if len(w) <= cap}
-    if isinstance(expr, Union):
-        return _enumerate(expr.left, cap) | _enumerate(expr.right, cap)
-    if isinstance(expr, Product):
-        return _product_join(_enumerate(expr.left, cap), _enumerate(expr.right, cap), cap)
-    if isinstance(expr, Star):
-        base = _enumerate(expr.inner, cap)
-        base.discard(IDENTITY)
-        seen: set[Word] = {IDENTITY}
-        frontier: set[Word] = {IDENTITY}
-        while frontier:
-            grown = _product_join(frontier, base, cap)
-            frontier = grown - seen
-            seen |= frontier
-        return seen
-    raise TypeError(f"not a RatExpr: {expr!r}")
-
-
 # -- structure-preserving transforms ---------------------------------------
 
 
@@ -182,13 +114,6 @@ def conjugate_expr(expr: RatExpr, g: Word) -> RatExpr:
     obtained by conjugating every Finite leaf elementwise."""
     out = _map_leaves(expr, lambda w: g.inv() * w * g)
     assert out.complexity == expr.complexity
-    return out
-
-
-def hom_image(expr: RatExpr, images: Sequence[Word]) -> RatExpr:
-    """Image under the homomorphism sending generator i to images[i-1]."""
-    out = _map_leaves(expr, lambda w: substitute(w, images))
-    assert out.complexity <= expr.complexity
     return out
 
 
@@ -242,6 +167,29 @@ def standard_form(expr: RatExpr) -> StandardForm:
     """Distribute unions out of products and split Finite leaves, leaving
     star bases untouched."""
     return StandardForm(tuple(_summands(expr)))
+
+
+def summand_count(expr: RatExpr) -> int:
+    """The number of summands :func:`standard_form` would produce, found
+    without expanding them: one pass over the distinct nodes."""
+    counts: dict[int, int] = {}
+
+    def count(e: RatExpr) -> int:
+        key = id(e)
+        if key not in counts:
+            if isinstance(e, Finite):
+                counts[key] = len(e.elements)
+            elif isinstance(e, Union):
+                counts[key] = count(e.left) + count(e.right)
+            elif isinstance(e, Product):
+                counts[key] = count(e.left) * count(e.right)
+            elif isinstance(e, Star):
+                counts[key] = 1
+            else:
+                raise TypeError(f"not a RatExpr: {e!r}")
+        return counts[key]
+
+    return count(expr)
 
 
 def _summands(expr: RatExpr) -> list[Summand]:

@@ -22,7 +22,6 @@ axis runs to factor that way, yet is always a value of w.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,17 +31,19 @@ from freerat.automata import (
     automaton_to_expr,
     enumerate_accepted,
     intersect_positive,
+    live_states,
+    reduced_acceptor,
 )
 from freerat.errors import GaveUp
 from freerat.freeprod import FREE_ZZ, Syllable, from_f2, to_f2
 from freerat.ratexpr import (
     RatExpr,
     StandardForm,
-    enumerate_bounded,
     format_ratexpr,
     leaf_words,
     parse_ratexpr,
     standard_form,
+    summand_count,
 )
 from freerat.verbal import (
     CommonSupportCase,
@@ -106,27 +107,18 @@ class BranchRefuted(Exception):
         )
 
 
-def extract_scheme(
-    sf: StandardForm,
-    w: Word,
-    *,
-    enum_cap: int = 6,
-    probe_depth: int = 3,
-) -> DecompositionScheme:
-    """Block constraints of a positive standard form.
-
-    Coefficient syllables always enter the support set; each starred factor
-    is classified through its bounded enumeration and contributes its closed
-    common support, or nothing when it is a single-axis power set.  Raises
-    :class:`BranchRefuted` when a factor contains a certified non-value.
-    """
-    scheme, _ = _analyze(sf, w, enum_cap, probe_depth)
-    return scheme
-
-
 def _analyze(
     sf: StandardForm, w: Word, enum_cap: int, probe_depth: int
 ) -> tuple[DecompositionScheme, list[dict]]:
+    """Block constraints of a positive standard form, with one record per
+    classified starred factor.
+
+    Coefficient syllables always enter the support set; each starred factor
+    is classified through its members of length <= enum_cap and contributes
+    its closed common support, or nothing when it is a single-axis power
+    set.  Raises :class:`BranchRefuted` when a factor contains a certified
+    non-value.
+    """
     support: set[Syllable] = set()
     branches: list[dict] = []
     n = 1
@@ -135,7 +127,8 @@ def _analyze(
         for coeff in summand.coefficients:
             support.update(from_f2(coeff).syllables)
         for bi, base in enumerate(summand.stars):
-            words = sorted(enumerate_bounded(base, enum_cap) - {IDENTITY})
+            strings = enumerate_accepted(reduced_acceptor(base), enum_cap)
+            words = sorted(Word(s) for s in strings if s)
             if not words:
                 continue
             p = FREE_ZZ.identity
@@ -274,29 +267,14 @@ def decomposable(u: Word, scheme: DecompositionScheme) -> tuple[bool, dict]:
 
 
 def _trim(acc: Acceptor) -> Acceptor:
-    """Restrict to states both reachable and co-reachable."""
-    fwd: dict[int, set[int]] = {}
-    bwd: dict[int, set[int]] = {}
-    for p, _, q in acc.transitions():
-        fwd.setdefault(p, set()).add(q)
-        bwd.setdefault(q, set()).add(p)
-
-    def bfs(mask, edges):
-        seed = [s for s in range(acc.n_states) if mask >> s & 1]
-        seen = set(seed)
-        queue = deque(seed)
-        while queue:
-            s = queue.popleft()
-            for t in edges.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        return seen
-
-    useful = bfs(acc.initial, fwd) & bfs(acc.finals, bwd)
-    if not useful:
+    """Restrict to the live states.  Every state of an :func:`intersect`
+    result is reachable from its start, so the live states are exactly
+    the useful ones.  Kept states are renumbered in increasing order."""
+    live = live_states(acc)
+    if not live:
         return Acceptor.from_transitions(acc.alphabet, 1, [], 0, 0)
-    index = {s: i for i, s in enumerate(sorted(useful))}
+    states = [s for s in range(acc.n_states) if live >> s & 1]
+    index = {s: i for i, s in enumerate(states)}
     kept = [(index[p], a, index[q]) for p, a, q in acc.transitions() if p in index and q in index]
 
     def renumbered(mask):
@@ -434,15 +412,16 @@ def refute(
 
     # With all-positive leaves, the expression denotes only positive words
     # and its own standard form can be analyzed; otherwise rebuild an
-    # expression for the positive part from the acceptor.
+    # expression for the positive part from the acceptor.  Its summands are
+    # counted before they are expanded, so millions of them give up at once.
     if all(g.is_positive() for g in leaf_words(expr)):
-        sf = standard_form(expr)
+        positive = expr
     else:
-        sf = standard_form(automaton_to_expr(_acceptor_automaton(acc)))
-    if len(sf.summands) > summand_limit:
-        raise GaveUp(
-            f"{len(sf.summands)} summands exceed the analysis budget"
-        )
+        positive = automaton_to_expr(_acceptor_automaton(acc))
+    count = summand_count(positive)
+    if count > summand_limit:
+        raise GaveUp(f"{count} summands exceed the summand budget of {summand_limit}")
+    sf = standard_form(positive)
 
     try:
         scheme, branches = _analyze(sf, w, enum_cap, probe_depth)

@@ -21,6 +21,7 @@ from typing import Iterable, Optional
 from freerat.automata import (
     Acceptor,
     difference,
+    enumerate_accepted,
     is_empty,
     positive_universe,
     reduced_acceptor,
@@ -44,7 +45,6 @@ from freerat.ratexpr import (
     Star,
     Union,
     conjugate_expr,
-    enumerate_bounded,
 )
 from freerat.words import IDENTITY, Word, format_word
 
@@ -351,10 +351,12 @@ def _positivize(expr: RatExpr, left: Word, right: Word, depth: int):
 def _positivize_product(l1: RatExpr, l2: RatExpr, left: Word, right: Word, depth: int):
     if is_empty(reduced_acceptor(l1)) or is_empty(reduced_acceptor(l2)):
         return EMPTY, {"case": "empty-product"}
+    s_acc = reduced_acceptor(_sandwich(left, l1, IDENTITY))
+    t_acc = reduced_acceptor(_sandwich(IDENTITY, l2, right))
     last_error: Optional[Exception] = None
     for cap in _ENUM_STEPS:
-        s_words = enumerate_bounded(_sandwich(left, l1, IDENTITY), cap)
-        t_words = enumerate_bounded(_sandwich(IDENTITY, l2, right), cap)
+        s_words = [Word(s) for s in enumerate_accepted(s_acc, cap)]
+        t_words = [Word(t) for t in enumerate_accepted(t_acc, cap)]
         if not s_words or not t_words:
             continue
         try:

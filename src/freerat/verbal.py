@@ -38,6 +38,7 @@ from freerat.words import (
 
 _EVAL_BUDGET = 2_000_000
 _LENGTH_BUDGET = 500_000
+_PROBE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,8 @@ def enumerate_values(query: VerbalQuery):
     else:
         ball = _fp_ball(query.group, query.substitution_cap)
     if len(ball) ** n > _EVAL_BUDGET:
-        raise ValueError(
-            f"{len(ball)}^{n} substitution tuples exceed the evaluation budget"
+        raise GaveUp(
+            f"{len(ball)}^{n} substitution tuples exceed the evaluation budget of {_EVAL_BUDGET}"
         )
     if query.group is None:
         return frozenset(substitute(w, images) for images in iter_product(ball, repeat=n))
@@ -209,8 +210,8 @@ def is_value(query: VerbalQuery, g: Word) -> Membership:
         return Membership("no", None, cert["method"])
     ball = free_ball(query.substitution_cap, 2)
     if len(ball) ** n > _LENGTH_BUDGET:
-        raise ValueError(
-            f"{len(ball)}^{n} substitution tuples exceed the search budget"
+        raise GaveUp(
+            f"{len(ball)}^{n} substitution tuples exceed the search budget of {_LENGTH_BUDGET}"
         )
     for images in iter_product(ball, repeat=n):
         if substitute(w, images) == g:
@@ -249,7 +250,7 @@ def w_length(query: VerbalQuery, g: Word) -> Optional[int]:
         if g in dist:
             return dist[g]
         if len(dist) > _LENGTH_BUDGET:
-            raise ValueError("verbal length search exceeded the budget")
+            raise GaveUp(f"verbal length search exceeded the budget of {_LENGTH_BUDGET} elements")
         frontier = nxt
     return None
 
@@ -334,8 +335,8 @@ def _bounded_products(elements: Sequence[FPElement], depth: int) -> set[FPElemen
     for _ in range(depth):
         layer = {u * g for u in layer for g in elements}
         out |= layer
-        if len(out) > 100_000:
-            raise ValueError("product probe exceeded the budget")
+        if len(out) > _PROBE_BUDGET:
+            raise GaveUp(f"product probe exceeded the budget of {_PROBE_BUDGET} elements")
     out.discard(group.identity)
     return out
 

@@ -75,8 +75,9 @@ class Word:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- container / comparison protocol ----------------------------------

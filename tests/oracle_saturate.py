@@ -5,7 +5,8 @@ The straightforward construction the int-bitmask compile path in
 closure as a Python set until no letter edge adds a silent edge, and
 acceptors are dicts from (state, letter) to frozensets of states.  It
 shares only ``expr_to_automaton`` with the library, so a test can compare
-the two compiled DFAs transition by transition.
+the two compiled DFAs transition by transition (``acceptor_to_json``
+writes the library's DFA in the oracle's form).
 """
 from __future__ import annotations
 
@@ -137,4 +138,15 @@ def reduced_acceptor_json(expr: RatExpr) -> dict:
         "initial": [0],
         "terminals": sorted(finals),
         "transitions": sorted([p, a, q] for (p, a), q in delta.items()),
+    }
+
+
+def acceptor_to_json(acc) -> dict:
+    """A library ``Acceptor`` in the form :func:`reduced_acceptor_json` returns."""
+    return {
+        "alphabet": sorted(acc.alphabet),
+        "states": acc.n_states,
+        "initial": [s for s in range(acc.n_states) if acc.initial >> s & 1],
+        "terminals": [s for s in range(acc.n_states) if acc.finals >> s & 1],
+        "transitions": sorted([p, a, q] for p, a, q in acc.transitions()),
     }

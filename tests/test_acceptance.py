@@ -9,6 +9,7 @@ import json
 import random
 import time
 
+from oracle_enum import enumerate_bounded
 from oracle_squares import exhaustive_square_gamma_max
 from oracle_verbal import lattice_index
 
@@ -26,7 +27,6 @@ from freerat.ratexpr import (
     Star,
     Union,
     complexity,
-    enumerate_bounded,
     leaf_words,
     parse_ratexpr,
 )
@@ -203,6 +203,16 @@ def test_c04_positive_intersection_matches_enumeration():
         accepted = set(enumerate_accepted(acc, 8))
         expected = {w.letters for w in enumerated if w.is_positive()}
         assert accepted == expected
+    assert time.perf_counter() - start < 60.0
+
+
+def test_enumerate_accepted_matches_oracle_on_corpus():
+    # the live-state mask keeps every prefix that some member extends
+    start = time.perf_counter()
+    for expr, enumerated in _corpus_enumerations():
+        strings = list(enumerate_accepted(reduced_acceptor(expr), 8))
+        assert len(strings) == len(set(strings))
+        assert set(strings) == {w.letters for w in enumerated}
     assert time.perf_counter() - start < 60.0
 
 

@@ -140,6 +140,18 @@ def test_sign_positivize(capsys):
     assert result["trace"]["case"] == "star-positive"
 
 
+def test_sign_positivize_product_samples_are_exact(capsys):
+    # P = x2^11 x2^-11 x1 denotes {x1}; the bounded unrolling missed x1
+    # until its sample cap reached 10
+    leaves = ["(fin x2)"] * 11 + ["(fin x2^-1)"] * 11 + ["(fin x1)"]
+    text = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        text = f"(prod {leaf} {text})"
+    result = run_json(capsys, "sign", "positivize", "--expr", f"(prod {text} (fin x2))")["result"]
+    assert result["trace"]["case"] == "product"
+    assert result["trace"]["sample_cap"] == 6
+
+
 def test_gaps_profile_delta_table(capsys):
     result = run_json(capsys, "gaps", "profile", "--u", "b a b", "--b", "b^1")["result"]
     assert result["table"] == {"1": [1, 0]}
@@ -301,6 +313,32 @@ def test_refute_runtime_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: summand budget exhausted\n"
+
+
+def test_refute_summand_budget_gives_up_before_expanding(capsys):
+    # the trimmed positive part's expression has 2,561,238 summands; they
+    # are counted, not built
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys,
+        "refute", "--word", "x1^2",
+        "--expr", "(star (union (fin (x1 x2) (x2 x1)) (fin x2^2 (x1^-1 x2 x1))))",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: 2561238 summands exceed the summand budget of 400\n"
+    assert time.perf_counter() - start < 10.0
+
+
+def test_verbal_member_search_budget_exits_3(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "verbal", "member",
+        "--word", "x1^2 x2^2", "--element", "x1^2 x2^4 x1^2", "--cap-len", "6",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: 1457^2 substitution tuples exceed the search budget of 500000\n"
 
 
 def test_refute_internal_check_failure_is_not_an_exit_status(capsys, monkeypatch):

@@ -10,7 +10,6 @@ from freerat.freeprod import (
     FPElement,
     FreeProduct,
     core_decompose,
-    cyclic_equal,
     cyclic_form,
     format_fp,
     from_f2,
@@ -21,6 +20,16 @@ from freerat.freeprod import (
     to_f2,
 )
 from freerat.words import Word, parse_word
+
+
+def cyclic_equal(u: FPElement, v: FPElement) -> bool:
+    """Equality of cyclic forms as cyclic words (up to rotation)."""
+    cu, cv = cyclic_form(u), cyclic_form(v)
+    if len(cu) != len(cv):
+        return False
+    n = len(cu)
+    return any(cu.syllables[r:] + cu.syllables[:r] == cv.syllables for r in range(max(n, 1)))
+
 
 # -- independent oracle ----------------------------------------------------
 
@@ -188,6 +197,26 @@ def test_group_laws(group):
         assert syllable_length(u * v) <= syllable_length(u) + syllable_length(v)
         assert u**3 == u * u * u
         assert u**-2 == (u * u).inv()
+
+
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    # one product per set bit of n and one squaring per later bit: u**8
+    # takes 4 products, not 5
+    u = GROUPS[2].element([("a", 1), ("b", 2)])
+    powers = {n: u**n for n in range(1, 17)}
+    calls = 0
+    mul = FPElement.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(FPElement, "__mul__", counting)
+    for n in range(1, 17):
+        calls = 0
+        assert u**n == powers[n]
+        assert calls == bin(n).count("1") + n.bit_length() - 1, n
 
 
 @given(syllables_st)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from freerat.automata import (
     Acceptor,
-    acceptor_to_json,
     automaton_to_expr,
     complement_reduced,
     determinize,
@@ -35,19 +34,26 @@ from freerat.ratexpr import (
     Summand,
     Union,
     complexity,
+    _map_leaves,
     conjugate_expr,
-    enumerate_bounded,
     finite,
     format_ratexpr,
-    hom_image,
     leaf_words,
     parse_ratexpr,
     standard_form,
 )
-from freerat.words import IDENTITY, Word, generator, parse_word
+from freerat.words import IDENTITY, Word, generator, parse_word, substitute
+
+from oracle_enum import enumerate_bounded
+from oracle_saturate import acceptor_to_json
 
 x1 = generator(1)
 x2 = generator(2)
+
+
+def hom_image(expr: RatExpr, images) -> RatExpr:
+    """Image under the homomorphism sending generator i to images[i-1]."""
+    return _map_leaves(expr, lambda w: substitute(w, images))
 
 
 # -- oracle: naive enumeration without the prefix-join machinery -----------
@@ -199,8 +205,6 @@ def test_hom_image_frozen_examples():
 
 
 def test_hom_image_commutes_with_enumeration():
-    from freerat.words import substitute
-
     images = [x1, x1 * x2]
     for expr in EXPR_SAMPLES[:10]:
         img = hom_image(expr, images)
@@ -287,6 +291,23 @@ def test_saturate_frozen_examples():
 
     loop = saturate(expr_to_automaton(Star(finite("x1 x2"))))
     assert strings(loop, 6) == {(), (1, 2), (1, 2, 1, 2), (1, 2, 1, 2, 1, 2)}
+
+
+def test_enumerate_accepted_expands_only_live_prefixes(monkeypatch):
+    # the complete DFA of {x1 x2} has a dead state; of the prefixes only
+    # (), x1 and x1 x2 reach a live state, so only they are stepped
+    dfa = reduced_acceptor(finite("x1 x2"))
+    calls = 0
+    successors = Acceptor.successors
+
+    def counting(self, states):
+        nonlocal calls
+        calls += 1
+        return successors(self, states)
+
+    monkeypatch.setattr(Acceptor, "successors", counting)
+    assert list(enumerate_accepted(dfa, 8)) == [(1, 2)]
+    assert calls == 3
 
 
 def test_saturate_accepts_only_reduced_strings():

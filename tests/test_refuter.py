@@ -9,8 +9,8 @@ from freerat.ratexpr import Finite, Product, Star, Union, standard_form
 from freerat.refuter import (
     BranchRefuted,
     DecompositionScheme,
+    _analyze,
     decomposable,
-    extract_scheme,
     refute,
     replay_report,
     witness_word,
@@ -21,6 +21,13 @@ from oracle_decomp import brute_decomposable
 
 W = parse_word
 SQ = W("x1^2")
+
+
+def extract_scheme(sf, w):
+    """The block scheme of a positive standard form at the refuter's
+    default caps, without the per-branch records."""
+    s, _ = _analyze(sf, w, enum_cap=6, probe_depth=3)
+    return s
 
 
 def scheme(syllables, n):

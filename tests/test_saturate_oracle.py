@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from freerat.automata import acceptor_to_json, reduced_acceptor
+from freerat.automata import reduced_acceptor
 from freerat.ratexpr import Finite, Product, RatExpr, Star, Union, format_ratexpr
 from freerat.words import Word
 
-from oracle_saturate import reduced_acceptor_json
+from oracle_saturate import acceptor_to_json, reduced_acceptor_json
 
 LETTERS = (1, -1, 2, -2)
 

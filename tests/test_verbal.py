@@ -15,6 +15,7 @@ from freerat.freeprod import (
     support,
     to_f2,
 )
+from freerat.errors import GaveUp
 from freerat.gaps import family_member
 from freerat.verbal import (
     AbelianizedVerbal,
@@ -88,7 +89,7 @@ def test_values_in_free_product_with_torsion():
 
 
 def test_enumeration_budget_guard():
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(GaveUp, match="budget"):
         enumerate_values(VerbalQuery(W("x1 x2 x3 x4 x5"), 4))
 
 

@@ -167,6 +167,26 @@ def test_pow_laws(u, k):
     assert u**k == direct
 
 
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    # one product per set bit of n and one squaring per later bit: u**8
+    # takes 4 products, not 5
+    u = parse_word("x1 x2^-1")
+    powers = {n: u**n for n in range(1, 17)}
+    calls = 0
+    mul = Word.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Word, "__mul__", counting)
+    for n in range(1, 17):
+        calls = 0
+        assert u**n == powers[n]
+        assert calls == bin(n).count("1") + n.bit_length() - 1, n
+
+
 @given(words_st)
 def test_cyclic_reduce_property(u):
     conj, core = cyclic_reduce(u)
