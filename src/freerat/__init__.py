@@ -49,7 +49,6 @@ from freerat.signs import (  # noqa: F401
     Positivized,
     positive_witness,
     positivize,
-    positivize_total,
     split_product,
 )
 from freerat.gaps import (  # noqa: F401

@@ -1,122 +1,23 @@
-"""Group automata over free groups and exact rational-set membership.
+"""Exact rational-set questions over free groups, on string acceptors.
 
-A :class:`GAutomaton` carries Word labels.  :func:`saturate` turns it into
-a plain string acceptor of exactly the reduced forms of its language: the
-labels are split into single letters, silent transitions are added to a
-fixpoint for every cancelling pattern  p --ℓ--> r ~~ε~~> s --ℓ⁻¹--> q,
-and the result is restricted to freely reduced strings.  Membership,
-Boolean operations and emptiness are then ordinary automaton algorithms.
+:class:`Acceptor` is the one automaton type, NFA and DFA alike.
+:func:`saturate` compiles an expression into an acceptor of exactly the
+reduced forms of its set: a Thompson construction with one-letter edges,
+silent edges added to a fixpoint for every cancelling pattern
+p --ℓ--> r ~~ε~~> s --ℓ⁻¹--> q (Benois), then restriction to freely
+reduced strings.  Membership, Boolean operations, emptiness and
+enumeration are then ordinary automaton algorithms, and
+:func:`automaton_to_expr` reads an acceptor back into an expression by
+state elimination.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from freerat.ratexpr import Finite, Product, RatExpr, Star, Union, max_rank
 from freerat.words import IDENTITY, Word
-
-
-@dataclass(frozen=True)
-class GAutomaton:
-    """States 0..n_states-1; transitions carry group elements."""
-
-    n_states: int
-    initial: int
-    finals: frozenset[int]
-    transitions: tuple[tuple[int, Word, int], ...]
-
-    def __post_init__(self):
-        assert 0 <= self.initial < self.n_states
-        for p, _, q in self.transitions:
-            assert 0 <= p < self.n_states and 0 <= q < self.n_states
-
-
-def expr_to_automaton(expr: RatExpr) -> GAutomaton:
-    """Thompson-style composition with one initial and one final state."""
-    n, initial, final, trans = _build(expr, 0)
-    return GAutomaton(n, initial, frozenset([final]), tuple(trans))
-
-
-def _build(expr: RatExpr, base: int) -> tuple[int, int, int, list]:
-    # Returns (next_free_state, initial, final, transitions); states >= base.
-    if isinstance(expr, Finite):
-        i, f = base, base + 1
-        return base + 2, i, f, [(i, w, f) for w in sorted(expr.elements)]
-    if isinstance(expr, Union):
-        n1, i1, f1, t1 = _build(expr.left, base)
-        n2, i2, f2, t2 = _build(expr.right, n1)
-        i, f = n2, n2 + 1
-        eps = [(i, IDENTITY, i1), (i, IDENTITY, i2), (f1, IDENTITY, f), (f2, IDENTITY, f)]
-        return n2 + 2, i, f, t1 + t2 + eps
-    if isinstance(expr, Product):
-        n1, i1, f1, t1 = _build(expr.left, base)
-        n2, i2, f2, t2 = _build(expr.right, n1)
-        return n2, i1, f2, t1 + t2 + [(f1, IDENTITY, i2)]
-    if isinstance(expr, Star):
-        n1, i1, f1, t1 = _build(expr.inner, base)
-        hub = n1
-        return n1 + 1, hub, hub, t1 + [(hub, IDENTITY, i1), (f1, IDENTITY, hub)]
-    raise TypeError(f"not a RatExpr: {expr!r}")
-
-
-# -- state elimination -----------------------------------------------------
-
-
-def _simplify_union(a: Optional[RatExpr], b: RatExpr) -> RatExpr:
-    if a is None:
-        return b
-    if isinstance(a, Finite) and not a.elements:
-        return b
-    if isinstance(b, Finite) and not b.elements:
-        return a
-    if isinstance(a, Finite) and isinstance(b, Finite):
-        return Finite(a.elements | b.elements)
-    return Union(a, b)
-
-
-def _simplify_product(a: RatExpr, b: RatExpr) -> RatExpr:
-    for x, y in ((a, b), (b, a)):
-        if isinstance(x, Finite):
-            if not x.elements:
-                return Finite()
-            if x.elements == frozenset([IDENTITY]):
-                return y
-    if isinstance(a, Finite) and isinstance(b, Finite):
-        return Finite(u * v for u in a.elements for v in b.elements)
-    return Product(a, b)
-
-
-def automaton_to_expr(aut: GAutomaton) -> RatExpr:
-    """State elimination on a generalized automaton with RatExpr edges."""
-    start, end = aut.n_states, aut.n_states + 1
-    edges: dict[tuple[int, int], RatExpr] = {}
-
-    def add(p: int, q: int, expr: RatExpr):
-        edges[(p, q)] = _simplify_union(edges.get((p, q)), expr)
-
-    for p, w, q in aut.transitions:
-        add(p, q, Finite([w]))
-    add(start, aut.initial, Finite([IDENTITY]))
-    for f in aut.finals:
-        add(f, end, Finite([IDENTITY]))
-
-    for r in range(aut.n_states):
-        loop = edges.pop((r, r), None)
-        into = {p: e for (p, q), e in edges.items() if q == r and p != r}
-        outof = {q: e for (p, q), e in edges.items() if p == r and q != r}
-        for key in list(edges):
-            if r in key:
-                del edges[key]
-        for p, e_in in into.items():
-            for q, e_out in outof.items():
-                path = e_in
-                if loop is not None:
-                    path = _simplify_product(path, Star(loop))
-                path = _simplify_product(path, e_out)
-                add(p, q, path)
-    return edges.get((start, end), Finite())
 
 
 # -- string acceptors ------------------------------------------------------
@@ -157,22 +58,6 @@ class Acceptor:
         self.n_states = len(self.table)
         self.initial = initial
         self.finals = finals
-
-    @classmethod
-    def from_transitions(
-        cls,
-        alphabet: frozenset[int],
-        n_states: int,
-        transitions: Iterable[tuple[int, int, int]],
-        initial: int,
-        finals: int,
-    ) -> "Acceptor":
-        """The acceptor with exactly these (p, letter, q) transitions."""
-        position = {a: i for i, a in enumerate(alphabet)}
-        rows = [[0] * len(position) for _ in range(n_states)]
-        for p, a, q in transitions:
-            rows[p][position[a]] |= 1 << q
-        return cls(alphabet, [tuple(row) for row in rows], initial, finals)
 
     def step(self, states: int, letter: int) -> int:
         i = self.position.get(letter)
@@ -269,35 +154,53 @@ def _closures(eps: list[int], lanes: list[int]) -> list[int]:
     return out
 
 
-def saturate(aut: GAutomaton, alphabet: Optional[frozenset[int]] = None) -> Acceptor:
-    """String acceptor of exactly the reduced forms of L(aut)."""
-    if alphabet is None:
-        rank = max(
-            (w.max_generator() for _, w, _ in aut.transitions), default=1
-        )
-        alphabet = frozenset(a for i in range(1, rank + 1) for a in (i, -i))
+def _build(
+    expr: RatExpr, base: int, edges: list[tuple[int, int, int]], silent: list[tuple[int, int]]
+) -> tuple[int, int, int]:
+    """Thompson construction on the states from ``base`` on, one initial
+    and one final state: appends the one-letter edges (p, letter, q) to
+    ``edges`` and the silent edges (p, q) to ``silent``, and returns
+    (next free state, initial, final).  A leaf word of k letters is a chain
+    of k letter edges through k-1 fresh states; the identity is silent."""
+    if isinstance(expr, Finite):
+        n = base + 2
+        for w in expr.elements:
+            if not w.letters:
+                silent.append((base, base + 1))
+                continue
+            chain = [base, *range(n, n + len(w.letters) - 1), base + 1]
+            edges += zip(chain, w.letters, chain[1:])
+            n += len(w.letters) - 1
+        return n, base, base + 1
+    if isinstance(expr, (Union, Product)):
+        n1, i1, f1 = _build(expr.left, base, edges, silent)
+        n2, i2, f2 = _build(expr.right, n1, edges, silent)
+        if isinstance(expr, Product):
+            silent.append((f1, i2))
+            return n2, i1, f2
+        i, f = n2, n2 + 1
+        silent += [(i, i1), (i, i2), (f1, f), (f2, f)]
+        return n2 + 2, i, f
+    if isinstance(expr, Star):
+        hub, i1, f1 = _build(expr.inner, base, edges, silent)
+        silent += [(hub, i1), (f1, hub)]
+        return hub + 1, hub, hub
+    raise TypeError(f"not a RatExpr: {expr!r}")
 
-    # (i) split multi-letter labels
-    n = aut.n_states
+
+def saturate(expr: RatExpr) -> Acceptor:
+    """String acceptor of exactly the reduced forms of the denoted set,
+    over the letters ±1..±max(2, rank)."""
+    # (i) Thompson construction with one-letter edges
     letter_edges: list[tuple[int, int, int]] = []
     silent: list[tuple[int, int]] = []
-    for p, w, q in aut.transitions:
-        if not w.letters:
-            silent.append((p, q))
-            continue
-        prev = p
-        for a in w.letters[:-1]:
-            letter_edges.append((prev, a, n))
-            prev = n
-            n += 1
-        letter_edges.append((prev, w.letters[-1], q))
+    n, initial, final = _build(expr, 0, letter_edges, silent)
+    rank = max(2, max((abs(a) for _, a, _ in letter_edges), default=0))
+    alphabet = frozenset(a for i in range(1, rank + 1) for a in (i, -i))
 
     # A state's lane packs its own bit (bits 0..n-1) and, for the letter at
     # position i, the mask of its one-letter successors (bits (i+1)n..).
-    # Positions: the alphabet first, then any other letter on an edge.
-    letters = tuple(alphabet)
-    letters += tuple(sorted({a for _, a, _ in letter_edges} - alphabet))
-    position = {a: i for i, a in enumerate(letters)}
+    position = {a: i for i, a in enumerate(alphabet)}
     full = (1 << n) - 1
     eps = [0] * n
     for p, q in silent:
@@ -307,9 +210,7 @@ def saturate(aut: GAutomaton, alphabet: Optional[frozenset[int]] = None) -> Acce
         lanes[p] |= 1 << ((position[a] + 1) * n + q)
 
     # (ii) silent-edge fixpoint: p --ℓ--> r ~~> s --ℓ⁻¹--> q adds p ~~> q
-    cancelling = [
-        (p, (position[-a] + 1) * n, r) for p, a, r in letter_edges if -a in position
-    ]
+    cancelling = [(p, (position[-a] + 1) * n, r) for p, a, r in letter_edges]
     while True:
         closed = _closures(eps, lanes)
         grew = False
@@ -322,13 +223,12 @@ def saturate(aut: GAutomaton, alphabet: Optional[frozenset[int]] = None) -> Acce
             break
 
     # (iii) silent-edge elimination, then restriction to reduced strings
-    finals = sum(1 << f for f in aut.finals)
     table = [
         tuple(lane >> ((i + 1) * n) & full for i in range(len(alphabet)))
         for lane in closed
     ]
-    closes_final = sum(1 << p for p in range(n) if closed[p] & finals)
-    return _restrict_reduced(alphabet, table, aut.initial, closes_final)
+    closes_final = sum(1 << p for p in range(n) if closed[p] >> final & 1)
+    return _restrict_reduced(alphabet, table, initial, closes_final)
 
 
 def _restrict_reduced(
@@ -427,23 +327,11 @@ def intersect(a: Acceptor, b: Acceptor) -> Acceptor:
     return Acceptor(alphabet, table, 1, finals)
 
 
-def reduced_universe(alphabet: frozenset[int]) -> Acceptor:
-    """Acceptor of all freely reduced strings over the alphabet."""
-    # state 0 = start; state of letter ℓ = its index in the sorted alphabet + 1
-    letters = sorted(alphabet)
-    index = {a: i + 1 for i, a in enumerate(letters)}
-    transitions = [(0, a, index[a]) for a in letters]
-    transitions += [(index[last], a, index[a]) for last in letters for a in letters if a != -last]
-    n = len(letters) + 1
-    return Acceptor.from_transitions(alphabet, n, transitions, 1, (1 << n) - 1)
-
-
 def complement_reduced(acc: Acceptor) -> Acceptor:
     """Reduced strings not accepted by acc."""
     dfa = determinize(acc)
     every = (1 << dfa.n_states) - 1
-    flipped = Acceptor(dfa.alphabet, dfa.table, dfa.initial, every & ~dfa.finals)
-    return intersect(flipped, reduced_universe(acc.alphabet))
+    return _restrict_reduced(dfa.alphabet, dfa.table, 0, every & ~dfa.finals)
 
 
 def difference(a: Acceptor, b: Acceptor) -> Acceptor:
@@ -526,15 +414,115 @@ def enumerate_accepted(acc: Acceptor, max_len: int) -> Iterator[tuple[int, ...]]
         layer = nxt
 
 
+# -- trimming, finiteness and state elimination ----------------------------
+
+
+def trim(acc: Acceptor) -> Acceptor:
+    """Restrict to the live states.  Every state of an :func:`intersect`
+    result is reachable from its start, so for one the live states are
+    exactly the useful ones.  Kept states are renumbered in increasing
+    order."""
+    live = live_states(acc)
+    states = list(_bits(live))
+    index = {s: i for i, s in enumerate(states)}
+
+    def renumbered(mask: int) -> int:
+        return sum(1 << index[s] for s in _bits(mask & live))
+
+    table = [tuple(renumbered(mask) for mask in acc.table[s]) for s in states]
+    return Acceptor(acc.alphabet, table, renumbered(acc.initial), renumbered(acc.finals))
+
+
+def is_finite(acc: Acceptor) -> bool:
+    """Whether a trimmed acceptor (every state reachable and live, as
+    :func:`trim` leaves an :func:`intersect` result) accepts finitely many
+    strings, that is, has no cycle.  Counts each state's predecessors and
+    removes the states that have none left; the graph is acyclic exactly
+    when every state gets removed."""
+    successors = [0] * acc.n_states
+    preds = [0] * acc.n_states
+    for p, row in enumerate(acc.table):
+        for mask in row:
+            successors[p] |= mask
+        for q in _bits(successors[p]):
+            preds[q] += 1
+    free = [s for s in range(acc.n_states) if not preds[s]]
+    removed = 0
+    while free:
+        removed += 1
+        for q in _bits(successors[free.pop()]):
+            preds[q] -= 1
+            if not preds[q]:
+                free.append(q)
+    return removed == acc.n_states
+
+
+def _simplify_union(a: Optional[RatExpr], b: RatExpr) -> RatExpr:
+    if a is None:
+        return b
+    if isinstance(a, Finite) and not a.elements:
+        return b
+    if isinstance(b, Finite) and not b.elements:
+        return a
+    if isinstance(a, Finite) and isinstance(b, Finite):
+        return Finite(a.elements | b.elements)
+    return Union(a, b)
+
+
+def _simplify_product(a: RatExpr, b: RatExpr) -> RatExpr:
+    for x, y in ((a, b), (b, a)):
+        if isinstance(x, Finite):
+            if not x.elements:
+                return Finite()
+            if x.elements == frozenset([IDENTITY]):
+                return y
+    if isinstance(a, Finite) and isinstance(b, Finite):
+        return Finite(u * v for u in a.elements for v in b.elements)
+    return Product(a, b)
+
+
+def automaton_to_expr(acc: Acceptor) -> RatExpr:
+    """An expression for L(acc): state elimination, in state order, with
+    RatExpr edges and silent edges from a fresh start state to each initial
+    state and from each final state to a fresh end state."""
+    start, end = acc.n_states, acc.n_states + 1
+    edges: dict[tuple[int, int], RatExpr] = {}
+
+    def add(p: int, q: int, expr: RatExpr):
+        edges[(p, q)] = _simplify_union(edges.get((p, q)), expr)
+
+    for p, a, q in sorted(acc.transitions()):
+        add(p, q, Finite([Word([a])]))
+    for s in _bits(acc.initial):
+        add(start, s, Finite([IDENTITY]))
+    # the final edges go in frozenset order, which shapes the expression
+    for f in frozenset(_bits(acc.finals)):
+        add(f, end, Finite([IDENTITY]))
+
+    for r in range(acc.n_states):
+        loop = edges.pop((r, r), None)
+        into = {p: e for (p, q), e in edges.items() if q == r and p != r}
+        outof = {q: e for (p, q), e in edges.items() if p == r and q != r}
+        for key in list(edges):
+            if r in key:
+                del edges[key]
+        for p, e_in in into.items():
+            for q, e_out in outof.items():
+                path = e_in
+                if loop is not None:
+                    path = _simplify_product(path, Star(loop))
+                path = _simplify_product(path, e_out)
+                add(p, q, path)
+    return edges.get((start, end), Finite())
+
+
 # -- expression-level membership -------------------------------------------
 
 
 @lru_cache(maxsize=512)
 def reduced_acceptor(expr: RatExpr) -> Acceptor:
     """Deterministic acceptor of the reduced forms of the denoted set."""
-    rank = max(2, max_rank(expr))
-    alphabet = frozenset(a for i in range(1, rank + 1) for a in (i, -i))
-    return determinize(saturate(expr_to_automaton(expr), alphabet))
+    return determinize(saturate(expr))
 
 
 def member(expr: RatExpr, g: Word) -> bool:
@@ -542,10 +530,10 @@ def member(expr: RatExpr, g: Word) -> bool:
     return reduced_acceptor(expr).accepts_word(g)
 
 
-def positive_universe(rank: int = 2) -> Acceptor:
-    """All strings over the positive letters 1..rank (no inverses)."""
-    alphabet = frozenset(range(1, rank + 1))
-    return Acceptor.from_transitions(alphabet, 1, [(0, a, 0) for a in alphabet], 1, 1)
+def positive_universe() -> Acceptor:
+    """All strings over the positive letters 1 and 2 (no inverses): one
+    state, initial and final, with a loop on each letter."""
+    return Acceptor(frozenset((1, 2)), [(1, 1)], 1, 1)
 
 
 def intersect_positive(expr: RatExpr) -> Acceptor:
@@ -553,4 +541,4 @@ def intersect_positive(expr: RatExpr) -> Acceptor:
     as strings over {x₁, x₂}."""
     if max_rank(expr) > 2:
         raise ValueError("positive intersection is defined over F2")
-    return intersect(reduced_acceptor(expr), positive_universe(2))
+    return intersect(reduced_acceptor(expr), positive_universe())

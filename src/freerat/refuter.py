@@ -27,16 +27,17 @@ from functools import lru_cache
 
 from freerat.automata import (
     Acceptor,
-    GAutomaton,
     automaton_to_expr,
     enumerate_accepted,
     intersect_positive,
-    live_states,
+    is_finite,
     reduced_acceptor,
+    trim,
 )
 from freerat.errors import GaveUp
 from freerat.freeprod import FREE_ZZ, Syllable, from_f2, to_f2
 from freerat.ratexpr import (
+    MAX_DEPTH,
     RatExpr,
     StandardForm,
     format_ratexpr,
@@ -53,7 +54,6 @@ from freerat.verbal import (
     support_dichotomy_check,
 )
 from freerat.words import (
-    IDENTITY,
     Word,
     WordClass,
     bezout_coefficients,
@@ -67,6 +67,7 @@ from freerat.words import (
 )
 
 _AXIS = {1: "a", 2: "b"}
+_SUMMAND_BUDGET = 400  # summands standard_form may expand
 
 
 @dataclass(frozen=True)
@@ -263,70 +264,6 @@ def decomposable(u: Word, scheme: DecompositionScheme) -> tuple[bool, dict]:
     return verdict, trace
 
 
-# -- acceptor plumbing ------------------------------------------------------
-
-
-def _trim(acc: Acceptor) -> Acceptor:
-    """Restrict to the live states.  Every state of an :func:`intersect`
-    result is reachable from its start, so the live states are exactly
-    the useful ones.  Kept states are renumbered in increasing order."""
-    live = live_states(acc)
-    if not live:
-        return Acceptor.from_transitions(acc.alphabet, 1, [], 0, 0)
-    states = [s for s in range(acc.n_states) if live >> s & 1]
-    index = {s: i for i, s in enumerate(states)}
-    kept = [(index[p], a, index[q]) for p, a, q in acc.transitions() if p in index and q in index]
-
-    def renumbered(mask):
-        return sum(1 << i for s, i in index.items() if mask >> s & 1)
-
-    return Acceptor.from_transitions(
-        acc.alphabet, len(index), kept, renumbered(acc.initial), renumbered(acc.finals)
-    )
-
-
-def _acceptor_automaton(acc: Acceptor) -> GAutomaton:
-    """Letter transitions become one-letter Word labels for state elimination."""
-    transitions = [(p, Word([a]), q) for p, a, q in sorted(acc.transitions())]
-    initials = [s for s in range(acc.n_states) if acc.initial >> s & 1]
-    finals = frozenset(s for s in range(acc.n_states) if acc.finals >> s & 1)
-    if len(initials) == 1:
-        return GAutomaton(acc.n_states, initials[0], finals, tuple(transitions))
-    hub = acc.n_states
-    transitions += [(hub, IDENTITY, p) for p in initials]
-    return GAutomaton(acc.n_states + 1, hub, finals, tuple(transitions))
-
-
-def _is_acyclic(acc: Acceptor) -> bool:
-    """True when the (trimmed) acceptor has no cycle, i.e. finite language."""
-    fwd: dict[int, set[int]] = {}
-    for p, _, q in acc.transitions():
-        fwd.setdefault(p, set()).add(q)
-    # Depth-first search with an explicit stack, so a long chain of states
-    # (a long finite leaf) does not hit the recursion limit.  Colour 1 marks
-    # a state on the current path, colour 2 a finished one.
-    color: dict[int, int] = {}
-    for root in range(acc.n_states):
-        if root in color:
-            continue
-        color[root] = 1
-        stack = [(root, iter(fwd.get(root, ())))]
-        while stack:
-            s, successors = stack[-1]
-            for t in successors:
-                c = color.get(t, 0)
-                if c == 1:
-                    return False
-                if c == 0:
-                    color[t] = 1
-                    stack.append((t, iter(fwd.get(t, ()))))
-                    break
-            else:
-                color[s] = 2
-                stack.pop()
-    return True
-
-
 # -- refutation pipeline ----------------------------------------------------
 
 
@@ -373,7 +310,6 @@ def refute(
     enum_cap: int = 6,
     probe_depth: int = 3,
     foreign_cap: int = 10,
-    summand_limit: int = 400,
 ) -> RefutationReport:
     """Produce a certified discrepancy between L(expr) and the positive
     values of w.  Requires exponent gcd >= 2 (proper words): gcd 0 needs
@@ -388,9 +324,9 @@ def refute(
     if cls is WordClass.IMPROPER:
         raise ValueError("exponent gcd 1: every element is a value, nothing to refute")
 
-    acc = _trim(intersect_positive(expr))
+    acc = trim(intersect_positive(expr))
 
-    if _is_acyclic(acc):
+    if is_finite(acc):
         # Finite positive part: powers of x₁ are values and almost all of
         # them are missing; report the first, noting the next as well.
         e = exponent_gcd(w)
@@ -412,15 +348,21 @@ def refute(
 
     # With all-positive leaves, the expression denotes only positive words
     # and its own standard form can be analyzed; otherwise rebuild an
-    # expression for the positive part from the acceptor.  Its summands are
+    # expression for the positive part from the acceptor, no deeper than a
+    # parsed one, since the tree walks below recurse.  Its summands are
     # counted before they are expanded, so millions of them give up at once.
     if all(g.is_positive() for g in leaf_words(expr)):
         positive = expr
     else:
-        positive = automaton_to_expr(_acceptor_automaton(acc))
+        positive = automaton_to_expr(acc)
+        if positive.complexity > MAX_DEPTH:
+            raise GaveUp(
+                f"the rebuilt positive part nests {positive.complexity} levels deep, "
+                f"past the nesting budget of {MAX_DEPTH}"
+            )
     count = summand_count(positive)
-    if count > summand_limit:
-        raise GaveUp(f"{count} summands exceed the summand budget of {summand_limit}")
+    if count > _SUMMAND_BUDGET:
+        raise GaveUp(f"{count} summands exceed the summand budget of {_SUMMAND_BUDGET}")
     sf = standard_form(positive)
 
     try:

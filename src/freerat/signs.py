@@ -8,10 +8,10 @@ product is positive when every syllable of its normal form is.
 
 ``split_product`` realizes, for finite sets with S·T positive, the
 construction producing a single element u with S·u⁻¹ and u·T positive.
-``positivize`` / ``positivize_total`` rewrite a rational expression over
-F₂ (viewed as ℤ∗ℤ) into one denoting the same set whose Finite leaves
-contain only positive words, recursing on structural complexity and
-verifying every claimed inclusion exactly on saturated acceptors.
+``positivize`` rewrites a rational expression over F₂ (viewed as ℤ∗ℤ)
+into one denoting the same set whose Finite leaves contain only positive
+words, recursing on structural complexity and verifying every claimed
+inclusion exactly on saturated acceptors.
 """
 from __future__ import annotations
 
@@ -270,7 +270,7 @@ def _verify_split(S, T, trace: SplitTrace, sign: SignModel) -> None:
 
 def positive_witness(expr: RatExpr) -> Optional[Word]:
     """A shortest non-positive member of the denoted set, or None."""
-    bad = difference(reduced_acceptor(expr), positive_universe(2))
+    bad = difference(reduced_acceptor(expr), positive_universe())
     s = shortest_accepted(bad)
     return None if s is None else Word(s)
 
@@ -295,14 +295,13 @@ class Positivized:
 
 _ENUM_STEPS = (6, 10, 14)
 _WINDOW_STEPS = 3
+_RECURSION_CAP = 48  # levels of positivization recursion
 
 
 def positivize(
     expr: RatExpr,
     left: Word = IDENTITY,
     right: Word = IDENTITY,
-    *,
-    depth_cap: int = 48,
 ) -> Positivized:
     """An expression with positive leaves denoting left·L·right.
 
@@ -311,18 +310,13 @@ def positivize(
     witness = positive_witness(_sandwich(left, expr, right))
     if witness is not None:
         raise NotPositiveError("the sandwiched set is not positive", witness)
-    out, trace = _positivize(expr, left, right, depth_cap)
+    out, trace = _positivize(expr, left, right, _RECURSION_CAP)
     return Positivized(out, trace)
-
-
-def positivize_total(expr: RatExpr, *, depth_cap: int = 48) -> Positivized:
-    """An expression with positive leaves for a set already positive."""
-    return positivize(expr, IDENTITY, IDENTITY, depth_cap=depth_cap)
 
 
 def _positivize(expr: RatExpr, left: Word, right: Word, depth: int):
     if depth <= 0:
-        raise GaveUp("positivization recursion exceeded the depth cap")
+        raise GaveUp(f"positivization recursion exceeded the depth cap of {_RECURSION_CAP}")
 
     if isinstance(expr, Finite):
         elements = sorted(left * g * right for g in expr.elements)
@@ -383,7 +377,8 @@ def _positivize_product(l1: RatExpr, l2: RatExpr, left: Word, right: Word, depth
             "children": [t1, t2],
         }
     raise GaveUp(
-        f"no middle element found for the product split ({last_error})"
+        f"no middle element found for the product split within the sample caps "
+        f"{', '.join(map(str, _ENUM_STEPS))} ({last_error})"
     )
 
 
@@ -404,17 +399,18 @@ def _positivize_star(l1: RatExpr, left: Word, right: Word, depth: int):
         }
 
     acc = reduced_acceptor(l2)
-    bad = difference(acc, positive_universe(2))
-    window = min(2 * acc.n_states, 12)
+    bad = difference(acc, positive_universe())
+    first = min(2 * acc.n_states, 12)
+    windows = range(first, first + 4 * _WINDOW_STEPS, 4)
     last_error: Optional[Exception] = None
-    for _ in range(_WINDOW_STEPS):
+    for window in windows:
         try:
             return _star_conjugate(l2, w, bad, window, acc.n_states, depth)
         except _RetryWindow as err:
             last_error = err
-            window += 4
     raise GaveUp(
-        f"no conforming deepest negative member within the search window ({last_error})"
+        f"no conforming deepest negative member within the last search window "
+        f"of {windows[-1]} letters ({last_error})"
     )
 
 

@@ -69,15 +69,15 @@ class VerbalQuery:
 
 
 @lru_cache(maxsize=64)
-def free_ball(cap: int, rank: int = 2) -> tuple[Word, ...]:
-    """All reduced words of letter length <= cap, shortest first."""
+def free_ball(cap: int) -> tuple[Word, ...]:
+    """All reduced words of F₂ of letter length <= cap, shortest first."""
     out = [IDENTITY]
     layer = [IDENTITY]
     for _ in range(cap):
         nxt = []
         for u in layer:
             last = u.letters[-1] if u.letters else 0
-            for a in range(1, rank + 1):
+            for a in (1, 2):
                 for s in (a, -a):
                     if s != -last:
                         nxt.append(Word(u.letters + (s,)))
@@ -124,7 +124,7 @@ def enumerate_values(query: VerbalQuery):
     w = query.w
     n = query.n_vars
     if query.group is None:
-        ball: Sequence = free_ball(query.substitution_cap, 2)
+        ball: Sequence = free_ball(query.substitution_cap)
     else:
         ball = _fp_ball(query.group, query.substitution_cap)
     if len(ball) ** n > _EVAL_BUDGET:
@@ -208,7 +208,7 @@ def is_value(query: VerbalQuery, g: Word) -> Membership:
     cert = certify_nonvalue(w, g)
     if cert is not None:
         return Membership("no", None, cert["method"])
-    ball = free_ball(query.substitution_cap, 2)
+    ball = free_ball(query.substitution_cap)
     if len(ball) ** n > _LENGTH_BUDGET:
         raise GaveUp(
             f"{len(ball)}^{n} substitution tuples exceed the search budget of {_LENGTH_BUDGET}"
@@ -395,7 +395,7 @@ def _refute_dichotomy(
             if support(cyclic_form(u)) - support(cyclic_form(v)):
                 family = unbounded_family(p, u, v, q, n_max=max(4, budget), e=e)
                 return _certified_member(family, w)
-    raise GaveUp("no refuting pair found; raise the probe budget")
+    raise GaveUp(f"no refuting pair found within the probe depth of {budget}")
 
 
 def _certified_member(family: FamilyReport, w: Word) -> RefutedCase:

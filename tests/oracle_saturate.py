@@ -1,17 +1,45 @@
 """Set-based saturation, restriction and determinization oracle.
 
 The straightforward construction the int-bitmask compile path in
-``freerat.automata`` replaces: every round rebuilds each state's silent
-closure as a Python set until no letter edge adds a silent edge, and
+``freerat.automata`` replaces: a Thompson automaton whose edges carry
+whole words, split into letters; every round rebuilds each state's silent
+closure as a Python set until no letter edge adds a silent edge; and
 acceptors are dicts from (state, letter) to frozensets of states.  It
-shares only ``expr_to_automaton`` with the library, so a test can compare
-the two compiled DFAs transition by transition (``acceptor_to_json``
-writes the library's DFA in the oracle's form).
+shares no automaton code with the library, so a test can compare the two
+compiled DFAs transition by transition (``acceptor_to_json`` writes the
+library's DFA in the oracle's form).
 """
 from __future__ import annotations
 
-from freerat.automata import expr_to_automaton
-from freerat.ratexpr import RatExpr, max_rank
+from freerat.ratexpr import Finite, Product, RatExpr, Star, Union, max_rank
+from freerat.words import IDENTITY
+
+
+def thompson(expr: RatExpr):
+    """(n_states, initial, final, [(p, word, q)]) of a Thompson-style
+    automaton with word labels; the identity word labels a silent edge."""
+    edges: list = []
+
+    def build(e: RatExpr, base: int) -> tuple[int, int, int]:
+        if isinstance(e, Finite):
+            edges.extend((base, w, base + 1) for w in sorted(e.elements))
+            return base + 2, base, base + 1
+        if isinstance(e, Star):
+            n, i, f = build(e.inner, base)
+            edges.extend([(n, IDENTITY, i), (f, IDENTITY, n)])
+            return n + 1, n, n
+        n1, i1, f1 = build(e.left, base)
+        n2, i2, f2 = build(e.right, n1)
+        if isinstance(e, Product):
+            edges.append((f1, IDENTITY, i2))
+            return n2, i1, f2
+        assert isinstance(e, Union)
+        i, f = n2, n2 + 1
+        edges.extend([(i, IDENTITY, i1), (i, IDENTITY, i2), (f1, IDENTITY, f), (f2, IDENTITY, f)])
+        return n2 + 2, i, f
+
+    n, initial, final = build(expr, 0)
+    return n, initial, final, edges
 
 
 def _closure(eps: dict[int, set[int]], n: int) -> list[set[int]]:
@@ -30,12 +58,12 @@ def _closure(eps: dict[int, set[int]], n: int) -> list[set[int]]:
     return out
 
 
-def saturate(aut, alphabet: frozenset[int]):
-    """(initial states, finals, delta) of the reduced forms of L(aut)."""
-    n = aut.n_states
+def saturate(expr: RatExpr, alphabet: frozenset[int]):
+    """(initial states, finals, delta) of the reduced forms of L(expr)."""
+    n, initial, final, transitions = thompson(expr)
     letter_edges: list[tuple[int, int, int]] = []
     eps: dict[int, set[int]] = {}
-    for p, w, q in aut.transitions:
+    for p, w, q in transitions:
         if not w.letters:
             eps.setdefault(p, set()).add(q)
             continue
@@ -61,7 +89,7 @@ def saturate(aut, alphabet: frozenset[int]):
                         changed = True
 
     closure = _closure(eps, n)
-    finals = {p for p in range(n) if closure[p] & aut.finals}
+    finals = {p for p in range(n) if final in closure[p]}
     delta: dict[tuple[int, int], set[int]] = {}
     for p in range(n):
         for s in closure[p]:
@@ -69,7 +97,7 @@ def saturate(aut, alphabet: frozenset[int]):
                 targets = by_source.get((s, a))
                 if targets:
                     delta.setdefault((p, a), set()).update(targets)
-    return _restrict_reduced(alphabet, frozenset([aut.initial]), finals, delta)
+    return _restrict_reduced(alphabet, frozenset([initial]), finals, delta)
 
 
 def _restrict_reduced(alphabet, initial, finals, nfa_delta):
@@ -131,7 +159,7 @@ def reduced_acceptor_json(expr: RatExpr) -> dict:
     """The oracle's DFA for ``expr`` in ``acceptor_to_json`` form."""
     rank = max(2, max_rank(expr))
     alphabet = frozenset(a for i in range(1, rank + 1) for a in (i, -i))
-    n, finals, delta = determinize(alphabet, *saturate(expr_to_automaton(expr), alphabet))
+    n, finals, delta = determinize(alphabet, *saturate(expr, alphabet))
     return {
         "alphabet": sorted(alphabet),
         "states": n,

@@ -53,7 +53,7 @@ def lattice_index(vectors: Iterable[tuple[int, int]]) -> Optional[int]:
 def two_square_decomposition(t: Word, u_cap: int = 6) -> Optional[tuple[Word, Word]]:
     """A pair (u, v) with u²v² == t, searching u short-first and solving
     for v exactly by root extraction; None when no u up to u_cap works."""
-    for u in free_ball(u_cap, 2):
+    for u in free_ball(u_cap):
         v = root_extract((u**2).inv() * t, 2)
         if v is not None:
             return u, v

@@ -17,7 +17,9 @@ from freerat.automata import (
     enumerate_accepted,
     equivalent,
     intersect_positive,
+    is_finite,
     reduced_acceptor,
+    trim,
 )
 from freerat.freeprod import FREE_ZZ, FreeProduct, to_f2
 from freerat.gaps import ScanConfig, criterion_scan, unbounded_family
@@ -27,6 +29,7 @@ from freerat.ratexpr import (
     Star,
     Union,
     complexity,
+    format_ratexpr,
     leaf_words,
     parse_ratexpr,
 )
@@ -36,7 +39,7 @@ from freerat.signs import (
     SignModel,
     is_positive,
     positive_witness,
-    positivize_total,
+    positivize,
     split_product,
 )
 from freerat.verbal import abelianized_verbal
@@ -311,7 +314,7 @@ def test_c06_positivize_total_equivalent_positive_leaves():
     start = time.perf_counter()
     for expr in _curated_positive_exprs():
         assert positive_witness(expr) is None  # the set is exactly positive
-        result = positivize_total(expr)
+        result = positivize(expr)
         assert all(w.is_positive() for w in leaf_words(result.expr))
         assert equivalent(reduced_acceptor(expr), reduced_acceptor(result.expr))
     assert time.perf_counter() - start < 60.0
@@ -417,6 +420,39 @@ def test_c09_refuter_certificates_replay_on_corpus():
         outcomes.add(report.outcome)
     assert outcomes == {"missing-value", "foreign-element", "inconsistent-branch"}
     assert time.perf_counter() - start < 120.0
+
+
+def _mixed_sign_tree(rng, depth: int):
+    if depth == 0 or rng.random() < 0.25:
+        words = set()
+        for _ in range(rng.randint(1, 3)):
+            letters: list[int] = []
+            for _ in range(rng.randint(0, 3)):
+                a = rng.choice((1, -1, 2, -2))
+                if not letters or a != -letters[-1]:
+                    letters.append(a)
+            words.add(Word(letters))
+        return Finite(words)
+    kind = rng.choice(("union", "prod", "star"))
+    if kind == "star":
+        return Star(_mixed_sign_tree(rng, depth - 1))
+    cls = Union if kind == "union" else Product
+    return cls(_mixed_sign_tree(rng, depth - 1), _mixed_sign_tree(rng, depth - 1))
+
+
+def test_is_finite_matches_pumping_oracle_on_corpus():
+    # a trimmed n-state acceptor has an infinite language exactly when it
+    # accepts a string of some length n..2n-1 (pumping on accepting paths)
+    rng = random.Random(20261018)
+    exprs = list(_refuter_corpus()) + [_mixed_sign_tree(rng, rng.randint(1, 4)) for _ in range(200)]
+    verdicts = set()
+    for expr in exprs:
+        acc = trim(intersect_positive(expr))
+        n = acc.n_states
+        infinite = any(len(s) >= n for s in enumerate_accepted(acc, 2 * n - 1))
+        assert is_finite(acc) == (not infinite), format_ratexpr(expr)
+        verdicts.add(infinite)
+    assert verdicts == {False, True}
 
 
 # -- criterion 10: abelianized verbal subgroup index ------------------------

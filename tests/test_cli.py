@@ -330,6 +330,52 @@ def test_refute_summand_budget_gives_up_before_expanding(capsys):
     assert time.perf_counter() - start < 10.0
 
 
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "(prod (star (fin x1)) (fin (x1^-1 x2^1500)))",
+        "(star (fin (x1^-1 x2^1500 x1) x1))",
+    ],
+)
+def test_refute_deep_rebuilt_positive_part_gives_up(capsys, expr):
+    # state elimination nests one product per chain state of the positive
+    # part, far past the depth the expression tree walks can recurse
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "refute", "--word", "x1^2", "--expr", expr)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"nesting budget of {MAX_DEPTH}" in err
+    assert time.perf_counter() - start < 10.0
+
+
+def _nested_unions(levels: int) -> str:
+    text = "(fin x1)"
+    for _ in range(levels):
+        text = f"(union {text} (fin x1))"
+    return text
+
+
+def test_sign_positivize_depth_cap_names_its_limit(capsys):
+    code, out, err = run_cli(capsys, "sign", "positivize", "--expr", _nested_unions(50))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "depth cap of 48" in err
+    code, _, err = run_cli(capsys, "sign", "positivize", "--expr", _nested_unions(47))
+    assert code == 0, err
+
+
+def test_file_errors_exit_1_with_one_line(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "rat", "member", "--expr", str(tmp_path), "--word", "x1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    missing = tmp_path / "absent" / "x.json"
+    code, out, err = run_cli(capsys, "word", "classify", "x1", "--out", str(missing))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not missing.exists()
+
+
 def test_verbal_member_search_budget_exits_3(capsys):
     code, out, err = run_cli(
         capsys,

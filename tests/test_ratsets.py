@@ -13,14 +13,12 @@ from freerat.automata import (
     difference,
     enumerate_accepted,
     equivalent,
-    expr_to_automaton,
     intersect,
     intersect_positive,
     is_empty,
     member,
     positive_universe,
     reduced_acceptor,
-    reduced_universe,
     saturate,
     shortest_accepted,
 )
@@ -261,10 +259,10 @@ def test_summand_shape_validation():
 
 
 def test_expr_automaton_roundtrip_frozen():
-    aut = expr_to_automaton(finite("x1"))
-    assert aut.n_states == 2 and len(aut.transitions) == 1
+    acc = saturate(finite("x1"))
+    assert acc.n_states == 2 and len(list(acc.transitions())) == 1
 
-    back = automaton_to_expr(expr_to_automaton(Star(finite("x1"))))
+    back = automaton_to_expr(reduced_acceptor(Star(finite("x1"))))
     assert enumerate_bounded(back, 4) == enumerate_bounded(Star(finite("x1")), 4)
 
 
@@ -272,9 +270,26 @@ def test_expr_automaton_roundtrip_random():
     # exact language comparison via saturated acceptors, so the check is
     # independent of enumeration horizons
     for expr in EXPR_SAMPLES[:12] + EXPR_DEEP:
-        back = automaton_to_expr(expr_to_automaton(expr))
+        back = automaton_to_expr(reduced_acceptor(expr))
         assert equivalent(reduced_acceptor(back), reduced_acceptor(expr)), (
             format_ratexpr(expr)
+        )
+
+
+def test_automaton_to_expr_reads_every_initial_state():
+    # disjoint union of two DFAs over one alphabet: the initial mask has
+    # two states, and the expression must denote both languages
+    for e1, e2 in zip(EXPR_SAMPLES[:6], EXPR_SAMPLES[6:12]):
+        a, b = reduced_acceptor(e1), reduced_acceptor(e2)
+        assert a.letters == b.letters
+        shift = a.n_states
+        table = list(a.table) + [tuple(mask << shift for mask in row) for row in b.table]
+        both = Acceptor(a.alphabet, table, a.initial | b.initial << shift, a.finals | b.finals << shift)
+        assert bin(both.initial).count("1") == 2
+        back = automaton_to_expr(both)
+        assert equivalent(reduced_acceptor(back), reduced_acceptor(Union(e1, e2))), (
+            format_ratexpr(e1),
+            format_ratexpr(e2),
         )
 
 
@@ -286,10 +301,10 @@ def strings(acc: Acceptor, max_len: int) -> set:
 
 
 def test_saturate_frozen_examples():
-    cancel = saturate(expr_to_automaton(Product(finite("x1"), finite("x1^-1"))))
+    cancel = saturate(Product(finite("x1"), finite("x1^-1")))
     assert strings(cancel, 4) == {()}
 
-    loop = saturate(expr_to_automaton(Star(finite("x1 x2"))))
+    loop = saturate(Star(finite("x1 x2")))
     assert strings(loop, 6) == {(), (1, 2), (1, 2, 1, 2), (1, 2, 1, 2, 1, 2)}
 
 
@@ -312,7 +327,7 @@ def test_enumerate_accepted_expands_only_live_prefixes(monkeypatch):
 
 def test_saturate_accepts_only_reduced_strings():
     for expr in EXPR_SAMPLES[:15]:
-        acc = saturate(expr_to_automaton(expr))
+        acc = saturate(expr)
         for s in strings(acc, 5):
             w = Word(s)
             assert w.letters == s  # already reduced
@@ -363,7 +378,9 @@ def test_de_morgan_extensionally():
     a = reduced_acceptor(Star(finite("x1")))
     b = reduced_acceptor(Union(finite("x1"), finite("x2")))
     lhs = complement_reduced(intersect(a, b))
-    for s in strings(reduced_universe(a.alphabet), 4):
+    letters = sorted(a.alphabet)
+    reduced = (s for n in range(5) for s in itertools.product(letters, repeat=n) if Word(s).letters == s)
+    for s in reduced:
         assert lhs.accepts(s) == (not (a.accepts(s) and b.accepts(s)))
 
 
@@ -380,7 +397,7 @@ def test_difference_and_equivalence():
 
 
 def test_positive_universe_intersection():
-    acc = intersect(reduced_acceptor(Star(finite("x1"))), positive_universe(2))
+    acc = intersect(reduced_acceptor(Star(finite("x1"))), positive_universe())
     assert strings(acc, 3) == {(), (1,), (1, 1), (1, 1, 1)}
 
 

@@ -27,7 +27,6 @@ from freerat.signs import (
     last_negative_index,
     positive_witness,
     positivize,
-    positivize_total,
     split_product,
     standard_sign,
 )
@@ -314,7 +313,7 @@ def test_positivize_star_negative_base_deeper():
 
 
 def _bad(base):
-    return difference(reduced_acceptor(base), positive_universe(2))
+    return difference(reduced_acceptor(base), positive_universe())
 
 
 def _mixed_sign_word(rng):
@@ -383,25 +382,25 @@ def test_positivize_trace_is_json_ready():
 
 
 def test_positivize_total_finite_unchanged():
-    result = positivize_total(finite("x1 x2"))
+    result = positivize(finite("x1 x2"))
     assert result.expr == finite("x1 x2")
 
 
 def test_positivize_total_product():
     expr = Product(finite("x1 x2^-1"), finite("x2"))
-    result = positivize_total(expr)
+    result = positivize(expr)
     assert equivalent(reduced_acceptor(result.expr), reduced_acceptor(finite("x1")))
     assert all(w.is_positive() for w in leaf_words(result.expr))
 
 
 def test_positivize_total_rejects_negative_set():
     with pytest.raises(NotPositiveError) as exc:
-        positivize_total(Star(finite("x2^-1 x1 x2")))
+        positivize(Star(finite("x2^-1 x1 x2")))
     assert exc.value.witness == parse_word("x2^-1 x1 x2")
 
 
 def test_positivize_total_star_of_positive():
-    result = positivize_total(Star(Union(finite("x1"), finite("x2 x1"))))
+    result = positivize(Star(Union(finite("x1"), finite("x2 x1"))))
     assert result.expr == Star(Union(finite("x1"), finite("x2 x1")))
 
 

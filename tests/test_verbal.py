@@ -53,7 +53,7 @@ def rand_word(rng, max_len=8):
 
 
 def test_free_ball_sizes():
-    assert [len(free_ball(c, 2)) for c in range(5)] == [1, 5, 17, 53, 161]
+    assert [len(free_ball(c)) for c in range(5)] == [1, 5, 17, 53, 161]
 
 
 def test_square_values_frozen():
