@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from freerat.freeprod import (
     FPElement,
@@ -49,43 +50,63 @@ class GapProfile:
 
     def gamma(self, e: int) -> int:
         """Number of k at which the two δ-counts differ modulo e."""
-        if e < 2:
-            raise ValueError("gamma needs a modulus e >= 2")
-        fid, exp = self.b
-        factor = self.group.factors[fid]
-        if factor.canon(2 * exp) == 0:
-            raise ValueError("gamma needs b different from its inverse")
+        _check_gamma(e, *_gap_pair(self.group, self.b))
         return sum(1 for _, (db, dbi) in self.table if (db - dbi) % e != 0)
+
+
+def _gap_pair(group: FreeProduct, b: Syllable) -> tuple[Syllable, Syllable]:
+    """b with a canonical exponent, and b⁻¹; the identity is refused."""
+    fid, exp = b
+    factor = group.factors[fid]
+    canon = factor.canon(exp)
+    if canon == 0:
+        raise ValueError("the gap syllable must not be the identity")
+    return (fid, canon), (fid, factor.canon(-canon))
+
+
+def _check_gamma(e: int, b: Syllable, b_inv: Syllable) -> None:
+    if e < 2:
+        raise ValueError("gamma needs a modulus e >= 2")
+    if b == b_inv:
+        raise ValueError("gamma needs b different from its inverse")
+
+
+def _gap_counts(
+    syllables: tuple[Syllable, ...], b: Syllable, b_inv: Syllable
+) -> dict[int, list[int]]:
+    """k -> [δ_{b,k}, δ_{b⁻¹,k}] for the nonzero pairs, from one pass.
+
+    The syllables of b's factor sit at every other index of a normal form,
+    so a gap of length 2k−1 is k steps along them.  When b is its own
+    inverse both columns count the same gaps."""
+    fid = b[0]
+    same = syllables[syllables[0][0] != fid :: 2] if syllables else ()
+    counts: dict[int, list[int]] = {}
+    prev = [-1, -1]  # position of the last b and of the last b⁻¹ in ``same``
+    for idx, s in enumerate(same):
+        if s == b:
+            col = 0
+        elif s == b_inv:
+            col = 1
+        else:
+            continue
+        if prev[col] >= 0:
+            counts.setdefault(idx - prev[col], [0, 0])[col] += 1
+        prev[col] = idx
+    if b == b_inv:  # every b-gap is also a b⁻¹-gap
+        for pair in counts.values():
+            pair[1] = pair[0]
+    return counts
 
 
 def gap_profile(u: FPElement, b: Syllable) -> GapProfile:
     """Scan the normal form of u once, counting the gaps of b and of b⁻¹.
 
     When b is its own inverse both columns count the same gaps."""
-    group = u.group
-    fid, exp = b
-    factor = group.factors[fid]
-    canon = factor.canon(exp)
-    if canon == 0:
-        raise ValueError("the gap syllable must not be the identity")
-    b = (fid, canon)
-    b_inv = (fid, factor.canon(-canon))
-    counts: dict[int, list[int]] = {}
-    prev = [-1, -1]  # index of the last b and of the last b⁻¹
-    for idx, s in enumerate(u.syllables):
-        if s != b and s != b_inv:
-            continue
-        col = s != b
-        if prev[col] >= 0:
-            dist = idx - prev[col]
-            assert dist % 2 == 0, "same-factor syllables alternate at even distance"
-            counts.setdefault(dist // 2, [0, 0])[col] += 1
-        prev[col] = idx
-    if b == b_inv:  # every b-gap is also a b⁻¹-gap
-        for pair in counts.values():
-            pair[1] = pair[0]
+    b, b_inv = _gap_pair(u.group, b)
+    counts = _gap_counts(u.syllables, b, b_inv)
     table = tuple((k, tuple(counts[k])) for k in sorted(counts))
-    return GapProfile(group, b, table)
+    return GapProfile(u.group, b, table)
 
 
 def gamma(u: FPElement, b: Syllable, e: int) -> int:
@@ -101,6 +122,17 @@ class ScanConfig:
     seed: int = 0
     max_syllables: int = 20
     max_exponent: int = 2
+
+    def __post_init__(self):
+        # each bound is named with its ``gaps scan`` flag
+        for name, flag, low in (
+            ("samples", "--samples", 0),
+            ("max_syllables", "--cap-len", 0),
+            ("max_exponent", "--max-exponent", 1),
+        ):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} ({flag}) must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -121,20 +153,53 @@ class ScanReport:
     records: tuple[ScanRecord, ...]
 
 
-def _random_element(rng: random.Random, group: FreeProduct, config: ScanConfig) -> FPElement:
-    # The syllables alternate between the factors and every exponent is
-    # canonical and nonzero, so the list is already a normal form.
-    factors = [(fid, factor.modulus) for fid, factor in group.factors.items()]
-    start = rng.randrange(2)
-    out = []
-    for k in range(rng.randrange(config.max_syllables + 1)):
-        fid, modulus = factors[(start + k) % 2]
-        if modulus is None:
-            exp = rng.choice((-1, 1)) * rng.randint(1, config.max_exponent)
-        else:
-            exp = rng.randint(1, modulus - 1)
-        out.append((fid, exp))
-    return _normal_element(group, tuple(out))
+def _below(getrandbits, n: int) -> int:
+    """A uniform draw from range(n), n >= 1, by the rejection rule of
+    ``Random._randbelow``: the value ``randrange(n)`` would return, one less
+    than ``randint(1, n)``, or the index ``choice`` takes among n items, with
+    the same bits taken from the stream."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _element_sampler(
+    group: FreeProduct, config: ScanConfig
+) -> Callable[[random.Random], FPElement]:
+    """A function rng -> random normal form of at most
+    ``config.max_syllables`` syllables, set up once per scan.
+
+    Per element it draws the starting factor, the length, and per syllable
+    a sign and then a magnitude up to ``config.max_exponent`` (infinite
+    factor) or an exponent in 1..modulus−1 (finite factor).  A seed's draw
+    order is part of the ``gaps scan`` output, so it must not change."""
+    lengths = config.max_syllables + 1
+    max_exponent = config.max_exponent
+    # (factor id, number of exponents to draw from, whether a sign is drawn)
+    factors = [
+        (fid, max_exponent, True) if factor.modulus is None else (fid, factor.modulus - 1, False)
+        for fid, factor in group.factors.items()
+    ]
+
+    def sample(rng: random.Random) -> FPElement:
+        getrandbits = rng.getrandbits
+        start = _below(getrandbits, 2)
+        out = []
+        for k in range(_below(getrandbits, lengths)):
+            fid, n, signed = factors[(start + k) % 2]
+            if signed:
+                positive = _below(getrandbits, 2)  # choice((-1, 1))
+                exp = 1 + _below(getrandbits, n)
+                out.append((fid, exp if positive else -exp))
+            else:
+                out.append((fid, 1 + _below(getrandbits, n)))
+        # The syllables alternate between the factors and every exponent
+        # is canonical and nonzero, so the tuple is already a normal form.
+        return _normal_element(group, tuple(out))
+
+    return sample
 
 
 def criterion_scan(
@@ -147,26 +212,29 @@ def criterion_scan(
     """γ_{b,e} over seeded random values of w; max and histogram.
 
     The word must be proper with e equal to its exponent gcd — that is the
-    regime in which boundedness is guaranteed."""
+    regime in which boundedness is guaranteed.  γ's conditions on b and e
+    are checked before any sampling, so they do not depend on the sample
+    count."""
     if classify(w) is not WordClass.PROPER:
         raise ValueError("criterion_scan needs a proper word (exponent gcd >= 2)")
     if e != exponent_gcd(w):
         raise ValueError("e must equal the word's exponent gcd")
+    b_canon, b_inv = _gap_pair(group, b)
+    _check_gamma(e, b_canon, b_inv)
+    sample = _element_sampler(group, config)
     rng = random.Random(config.seed)
     n_vars = max((abs(l) for l in w.letters), default=1)
     histogram: dict[int, int] = {}
     records = []
-    best = 0
     for sample_id in range(config.samples):
-        images = [_random_element(rng, group, config) for _ in range(n_vars)]
+        images = [sample(rng) for _ in range(n_vars)]
         value = fp_substitute(w, images)
-        profile = gap_profile(value, b)
-        g = profile.gamma(e)
-        best = max(best, g)
+        counts = _gap_counts(value.syllables, b_canon, b_inv)
+        g = sum(1 for db, dbi in counts.values() if (db - dbi) % e)
         histogram[g] = histogram.get(g, 0) + 1
-        records.append(ScanRecord(sample_id, len(value), g, profile.max_k()))
+        records.append(ScanRecord(sample_id, len(value), g, max(counts, default=0)))
     return ScanReport(
-        b, e, config, best, tuple(sorted(histogram.items())), tuple(records)
+        b, e, config, max(histogram, default=0), tuple(sorted(histogram.items())), tuple(records)
     )
 
 

@@ -1,8 +1,15 @@
-"""Two-pass gap counting: one scan of the normal form per syllable.
+"""Reference versions of the gap counting and of the boundedness scan.
 
-``gaps.gap_profile`` counts b and b⁻¹ in a single pass; this is the scan
-it replaced, kept as an independent check."""
+``gaps.gap_profile`` counts b and b⁻¹ in a single pass; ``gap_table`` is
+the scan it replaced, one pass per syllable, kept as an independent check.
+``random_element`` and ``scan_report`` are the scan as it was first
+written, drawing through ``randrange``, ``randint`` and ``choice``."""
+import random
+from collections import Counter
 from typing import Optional
+
+from freerat.freeprod import fp_substitute
+from freerat.gaps import ScanRecord, ScanReport, gap_profile
 
 
 def gap_counts(syllables, b) -> dict[int, int]:
@@ -27,3 +34,41 @@ def gap_table(syllables, b, b_inv) -> dict[int, tuple[int, int]]:
     counts_inv = gap_counts(syllables, b_inv)
     keys = sorted(set(counts) | set(counts_inv))
     return {k: (counts.get(k, 0), counts_inv.get(k, 0)) for k in keys}
+
+
+def random_element(rng, group, config):
+    """The scan's sampler written with ``randrange``, ``randint`` and
+    ``choice``: the draw order that ``gaps._element_sampler`` must keep."""
+    factors = [(fid, factor.modulus) for fid, factor in group.factors.items()]
+    start = rng.randrange(2)
+    out = []
+    for k in range(rng.randrange(config.max_syllables + 1)):
+        fid, modulus = factors[(start + k) % 2]
+        if modulus is None:
+            exp = rng.choice((-1, 1)) * rng.randint(1, config.max_exponent)
+        else:
+            exp = rng.randint(1, modulus - 1)
+        out.append((fid, exp))
+    return group.element(out)
+
+
+def scan_report(w, b, e, config, group):
+    """``criterion_scan`` rebuilt from the oracle sampler, one ``GapProfile``
+    per sample."""
+    rng = random.Random(config.seed)
+    n_vars = max((abs(l) for l in w.letters), default=1)
+    records = []
+    for sample_id in range(config.samples):
+        images = [random_element(rng, group, config) for _ in range(n_vars)]
+        value = fp_substitute(w, images)
+        profile = gap_profile(value, b)
+        records.append(ScanRecord(sample_id, len(value), profile.gamma(e), profile.max_k()))
+    histogram = Counter(r.gamma for r in records)
+    return ScanReport(
+        b,
+        e,
+        config,
+        max(histogram, default=0),
+        tuple(sorted(histogram.items())),
+        tuple(records),
+    )

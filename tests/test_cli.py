@@ -260,6 +260,36 @@ def test_gaps_scan_out_file_with_json_summary(capsys, tmp_path):
     assert len(csv_lines) == 2 + 5
 
 
+@pytest.mark.parametrize(
+    "flag,value,name,low",
+    [
+        ("--samples", "-3", "samples", 0),
+        ("--cap-len", "-1", "max_syllables", 0),
+        ("--max-exponent", "0", "max_exponent", 1),
+        ("--max-exponent", "-2", "max_exponent", 1),
+    ],
+)
+def test_gaps_scan_refuses_out_of_range_bounds(capsys, tmp_path, flag, value, name, low):
+    path = tmp_path / "scan.csv"
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "gaps", "scan", "--word", "x1^2", "--b", "b^1", flag, value, "--out", str(path)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == f"error: {name} ({flag}) must be >= {low}, got {value}\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "5"])
+def test_gaps_scan_refuses_self_inverse_b_whatever_the_sample_count(capsys, samples):
+    code, out, err = run_cli(
+        capsys, "gaps", "scan", "--word", "x1^2", "--b", "b^1", "--b-mod", "2", "--samples", samples
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: gamma needs b different from its inverse\n"
+
+
 # -- refute ----------------------------------------------------------------
 
 

@@ -4,21 +4,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_gaps import gap_table
+from oracle_gaps import gap_table, random_element, scan_report
 from oracle_squares import exhaustive_square_gamma_max
 from freerat.freeprod import FREE_ZZ, FreeProduct, fp_substitute, to_f2
 from freerat.gaps import (
     FamilyReport,
     GapProfile,
     ScanConfig,
-    _random_element as scan_sample,
+    _element_sampler,
     criterion_scan,
     family_member,
     gamma,
     gap_profile,
     unbounded_family,
 )
-from freerat.words import parse_word, root_extract
+from freerat.words import exponent_gcd, parse_word, root_extract
 
 
 G = FREE_ZZ
@@ -126,9 +126,9 @@ def test_inverse_mirrors_profile():
 )
 def test_profile_matches_two_pass_oracle(group, targets):
     rng = random.Random(317)
-    config = ScanConfig(max_syllables=14, max_exponent=3)
+    sample = _element_sampler(group, ScanConfig(max_syllables=14, max_exponent=3))
     for _ in range(300):
-        x, y = scan_sample(rng, group, config), scan_sample(rng, group, config)
+        x, y = sample(rng), sample(rng)
         # the sampler builds its normal forms directly; renormalising keeps them
         assert group.element(x.syllables).syllables == x.syllables
         u = x * y
@@ -149,6 +149,46 @@ def test_gap_sum_property(seed):
 
 
 # -- criterion scan --------------------------------------------------------
+
+
+SCAN_GROUPS = [G, FreeProduct(b=6), FreeProduct(a=4, b=6), FreeProduct(a=2, b=3)]
+
+
+@pytest.mark.parametrize("group", SCAN_GROUPS, ids=repr)
+def test_sampler_draws_as_randrange_randint_and_choice(group):
+    # the same elements from the same stream, and the stream left in the
+    # same state: a seed's draw order is part of the scan's output
+    for max_exponent in range(1, 5):
+        for max_syllables in range(21):
+            config = ScanConfig(max_syllables=max_syllables, max_exponent=max_exponent)
+            seed = 1000 * max_exponent + max_syllables
+            ours, theirs = random.Random(seed), random.Random(seed)
+            sample = _element_sampler(group, config)
+            for _ in range(12):
+                got = sample(ours)
+                assert got.syllables == random_element(theirs, group, config).syllables
+                assert len(got) <= max_syllables
+            assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("group", SCAN_GROUPS, ids=repr)
+@pytest.mark.parametrize("word", ["x1^2", "x1^2 x2^2", "x1^3 x2^3"])
+def test_scan_matches_oracle_report(group, word):
+    w = parse_word(word)
+    e = exponent_gcd(w)
+    for seed, b in enumerate((("b", 1), ("b", -1))):
+        config = ScanConfig(samples=60, seed=seed, max_syllables=10, max_exponent=3)
+        assert criterion_scan(w, b, e, config, group) == scan_report(w, b, e, config, group)
+
+
+def test_scan_checks_gamma_preconditions_before_sampling():
+    z2 = FreeProduct(b=2)
+    for samples in (0, 5):
+        config = ScanConfig(samples=samples)
+        with pytest.raises(ValueError, match="different from its inverse"):
+            criterion_scan(parse_word("x1^2"), ("b", 1), 2, config, z2)
+        with pytest.raises(ValueError, match="identity"):
+            criterion_scan(parse_word("x1^2"), ("b", 2), 2, config, z2)
 
 
 def test_scan_rejects_non_proper_words():

@@ -10,6 +10,8 @@ numbering itself is pinned transition by transition in
 The ``gaps scan`` cases pin the order of the seeded random draws as well
 as the free-product normal forms of the sampled values; the ``gaps
 profile`` cases include a finite factor where b is its own inverse.
+``GOLDEN_SCAN_OUT`` pins ``gaps scan --out``: the JSON summary on stdout
+and the CSV file it writes.
 """
 import hashlib
 
@@ -117,8 +119,30 @@ GOLDEN = [
 ]
 
 
+GOLDEN_SCAN_OUT = [
+    (("gaps", "scan", "--word", "x1^2", "--b", "b^1", "--samples", "40", "--seed", "21", "--cap-len", "12"),
+     "4e785053888fe41aa8cbe9baa8dfd245994e2b5504ded6362e93be53f7bf0631",
+     "a7212731d6149c79c4c0df94617fe77f0ce760d0596865a30df69c233badeaa8"),
+    (("gaps", "scan", "--word", "x1^2 x2^2", "--b", "b^-1", "--samples", "30", "--seed", "22", "--cap-len", "16", "--max-exponent", "3", "--b-mod", "6"),
+     "598d48ae076999ff81edee87e1f4ec4ea4b41fcfb8989f08ccf82b8ddc2fa542",
+     "a2fa461805b3cf5f239bd1d55acf461c75d96573aedea13f1797089586870841"),
+    (("gaps", "scan", "--word", "x1^3 x2^3", "--b", "a^1", "--samples", "30", "--seed", "23", "--cap-len", "10", "--a-mod", "4", "--b-mod", "6"),
+     "f0b4efe892dd4d2b43d5a4fcd79795b50ca3309747abd11a6c89f71b5f428b5f",
+     "b28de0d59fc4eac7ab2128e9b3f92a0cc0c380c02c1b71f04b1978ccaf54f025"),
+]
+
+
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[f"{a[0]}-{i}" for i, (a, _) in enumerate(GOLDEN)])
 def test_stdout_digest(capsys, argv, digest):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,stdout_digest,csv_digest", GOLDEN_SCAN_OUT, ids=[f"scan-out-{i}" for i in range(len(GOLDEN_SCAN_OUT))])
+def test_scan_out_digests(capsys, monkeypatch, tmp_path, argv, stdout_digest, csv_digest):
+    monkeypatch.chdir(tmp_path)  # the summary echoes the CSV path
+    assert main([*argv, "--out", "scan.csv"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    assert hashlib.sha256((tmp_path / "scan.csv").read_bytes()).hexdigest() == csv_digest
