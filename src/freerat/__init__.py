@@ -32,11 +32,9 @@ from freerat.ratexpr import (  # noqa: F401
     Product,
     RatExpr,
     Star,
-    StandardForm,
     Union,
     format_ratexpr,
     parse_ratexpr,
-    standard_form,
 )
 from freerat.automata import (  # noqa: F401
     Acceptor,

@@ -6,9 +6,8 @@ reduced forms of its set: a Thompson construction with one-letter edges,
 silent edges added to a fixpoint for every cancelling pattern
 p --ℓ--> r ~~ε~~> s --ℓ⁻¹--> q (Benois), then restriction to freely
 reduced strings.  Membership, Boolean operations, emptiness and
-enumeration are then ordinary automaton algorithms, and
-:func:`automaton_to_expr` reads an acceptor back into an expression by
-state elimination.
+enumeration are then ordinary automaton algorithms, and :func:`minimize`
+gives the minimal DFA of a language.
 """
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from freerat.ratexpr import Finite, Product, RatExpr, Star, Union, max_rank
-from freerat.words import IDENTITY, Word
+from freerat.words import Word
 
 
 # -- string acceptors ------------------------------------------------------
@@ -93,19 +92,19 @@ class Acceptor:
                     yield p, a, q
 
 
-def _closures(eps: list[int], lanes: list[int]) -> list[int]:
-    """Per state s, ``lanes[s]`` ORed over the reflexive-transitive silent
-    closure of s (``eps[s]`` is the mask of silent successors of s).
+def strong_components(succ: Sequence[int]) -> list[list[int]]:
+    """The strongly connected components of the graph on states
+    0..len(succ)-1 whose state s has the successor mask ``succ[s]``, each
+    listed after every component it reaches.
 
-    One pass of Tarjan's algorithm: a strongly connected component is
-    finished only after every component it reaches, and all its states
-    share one closure, so each component costs one OR per member and one
-    per silent edge leaving it."""
-    n = len(eps)
+    Tarjan's algorithm with an explicit stack of frames, so a long chain
+    of states does not recurse once per state."""
+    n = len(succ)
     order = [0] * n  # discovery number, 1-based; 0 = not yet visited
     low = [0] * n
-    out = [0] * n  # nonzero once the state's component is finished
+    done = [False] * n  # True once the state's component is listed
     stack: list[int] = []
+    components: list[list[int]] = []
     counter = 0
     for root in range(n):
         if order[root]:
@@ -113,7 +112,7 @@ def _closures(eps: list[int], lanes: list[int]) -> list[int]:
         counter += 1
         order[root] = low[root] = counter
         stack.append(root)
-        frames = [[root, eps[root]]]  # state, silent successors not yet tried
+        frames = [[root, succ[root]]]  # state, successors not yet tried
         while frames:
             frame = frames[-1]
             v, rest = frame
@@ -125,8 +124,8 @@ def _closures(eps: list[int], lanes: list[int]) -> list[int]:
                     counter += 1
                     order[t] = low[t] = counter
                     stack.append(t)
-                    frames.append([t, eps[t]])
-                elif not out[t] and order[t] < low[v]:
+                    frames.append([t, succ[t]])
+                elif not done[t] and order[t] < low[v]:
                     low[v] = order[t]  # t is still on the stack
                 continue
             frames.pop()
@@ -137,20 +136,34 @@ def _closures(eps: list[int], lanes: list[int]) -> list[int]:
             members = []
             while True:
                 t = stack.pop()
+                done[t] = True
                 members.append(t)
                 if t == v:
                     break
-            inside = 0
-            leaving = 0
-            lane = 0
-            for m in members:
-                inside |= 1 << m
-                leaving |= eps[m]
-                lane |= lanes[m]
-            for t in _bits(leaving & ~inside):
-                lane |= out[t]
-            for m in members:
-                out[m] = lane
+            components.append(members)
+    return components
+
+
+def _closures(eps: list[int], lanes: list[int]) -> list[int]:
+    """Per state s, ``lanes[s]`` ORed over the reflexive-transitive silent
+    closure of s (``eps[s]`` is the mask of silent successors of s).
+
+    All states of a strongly connected component share one closure, and a
+    component comes after every component it reaches, so each component
+    costs one OR per member and one per silent edge leaving it."""
+    out = [0] * len(eps)
+    for members in strong_components(eps):
+        inside = 0
+        leaving = 0
+        lane = 0
+        for m in members:
+            inside |= 1 << m
+            leaving |= eps[m]
+            lane |= lanes[m]
+        for t in _bits(leaving & ~inside):
+            lane |= out[t]
+        for m in members:
+            out[m] = lane
     return out
 
 
@@ -414,106 +427,68 @@ def enumerate_accepted(acc: Acceptor, max_len: int) -> Iterator[tuple[int, ...]]
         layer = nxt
 
 
-# -- trimming, finiteness and state elimination ----------------------------
+# -- minimization ----------------------------------------------------------
 
 
-def trim(acc: Acceptor) -> Acceptor:
-    """Restrict to the live states.  Every state of an :func:`intersect`
-    result is reachable from its start, so for one the live states are
-    exactly the useful ones.  Kept states are renumbered in increasing
-    order."""
-    live = live_states(acc)
-    states = list(_bits(live))
-    index = {s: i for i, s in enumerate(states)}
+def minimize(acc: Acceptor) -> Acceptor:
+    """The minimal trim DFA of the language of a DFA: Hopcroft's partition
+    refinement, with a sink n standing in for missing transitions.  Dead
+    and unreachable states go; the rest are numbered in breadth-first order
+    from the initial state, visiting letters in increasing order, so the
+    result depends on the language alone."""
+    n = acc.n_states
+    # per letter that labels some edge, each state's target; a letter that
+    # leads every state to the sink splits nothing
+    letters = sorted((a, i) for i, a in enumerate(acc.letters) if any(row[i] for row in acc.table))
+    targets = [[row[i].bit_length() - 1 if row[i] else n for row in acc.table] + [n] for _, i in letters]
+    preds = [[[] for _ in range(n + 1)] for _ in letters]
+    for target, inverse in zip(targets, preds):
+        for p, q in enumerate(target):
+            inverse[q].append(p)
+    finals = set(_bits(acc.finals))
+    blocks = [finals, set(range(n + 1)) - finals]
+    block_of = [0 if s in finals else 1 for s in range(n + 1)]
+    # every state has one successor per letter, so splitting by one of the
+    # two first blocks also splits by the other
+    work = [(0, j) for j in range(len(letters))] if finals else []
+    while work:
+        b, j = work.pop()
+        hits: dict[int, list[int]] = {}
+        inverse = preds[j]
+        for t in blocks[b]:
+            for p in inverse[t]:
+                hits.setdefault(block_of[p], []).append(p)
+        for y, hit in hits.items():
+            if len(hit) == len(blocks[y]):
+                continue
+            rest = blocks[y].difference(hit)
+            small, large = (set(hit), rest) if len(hit) <= len(rest) else (rest, set(hit))
+            blocks[y] = large
+            new = len(blocks)
+            blocks.append(small)
+            for s in small:
+                block_of[s] = new
+            # the larger half keeps the old block's pending splits
+            work += [(new, j) for j in range(len(letters))]
 
-    def renumbered(mask: int) -> int:
-        return sum(1 << index[s] for s in _bits(mask & live))
-
-    table = [tuple(renumbered(mask) for mask in acc.table[s]) for s in states]
-    return Acceptor(acc.alphabet, table, renumbered(acc.initial), renumbered(acc.finals))
-
-
-def is_finite(acc: Acceptor) -> bool:
-    """Whether a trimmed acceptor (every state reachable and live, as
-    :func:`trim` leaves an :func:`intersect` result) accepts finitely many
-    strings, that is, has no cycle.  Counts each state's predecessors and
-    removes the states that have none left; the graph is acyclic exactly
-    when every state gets removed."""
-    successors = [0] * acc.n_states
-    preds = [0] * acc.n_states
-    for p, row in enumerate(acc.table):
-        for mask in row:
-            successors[p] |= mask
-        for q in _bits(successors[p]):
-            preds[q] += 1
-    free = [s for s in range(acc.n_states) if not preds[s]]
-    removed = 0
-    while free:
-        removed += 1
-        for q in _bits(successors[free.pop()]):
-            preds[q] -= 1
-            if not preds[q]:
-                free.append(q)
-    return removed == acc.n_states
-
-
-def _simplify_union(a: Optional[RatExpr], b: RatExpr) -> RatExpr:
-    if a is None:
-        return b
-    if isinstance(a, Finite) and not a.elements:
-        return b
-    if isinstance(b, Finite) and not b.elements:
-        return a
-    if isinstance(a, Finite) and isinstance(b, Finite):
-        return Finite(a.elements | b.elements)
-    return Union(a, b)
-
-
-def _simplify_product(a: RatExpr, b: RatExpr) -> RatExpr:
-    for x, y in ((a, b), (b, a)):
-        if isinstance(x, Finite):
-            if not x.elements:
-                return Finite()
-            if x.elements == frozenset([IDENTITY]):
-                return y
-    if isinstance(a, Finite) and isinstance(b, Finite):
-        return Finite(u * v for u in a.elements for v in b.elements)
-    return Product(a, b)
-
-
-def automaton_to_expr(acc: Acceptor) -> RatExpr:
-    """An expression for L(acc): state elimination, in state order, with
-    RatExpr edges and silent edges from a fresh start state to each initial
-    state and from each final state to a fresh end state."""
-    start, end = acc.n_states, acc.n_states + 1
-    edges: dict[tuple[int, int], RatExpr] = {}
-
-    def add(p: int, q: int, expr: RatExpr):
-        edges[(p, q)] = _simplify_union(edges.get((p, q)), expr)
-
-    for p, a, q in sorted(acc.transitions()):
-        add(p, q, Finite([Word([a])]))
-    for s in _bits(acc.initial):
-        add(start, s, Finite([IDENTITY]))
-    # the final edges go in frozenset order, which shapes the expression
-    for f in frozenset(_bits(acc.finals)):
-        add(f, end, Finite([IDENTITY]))
-
-    for r in range(acc.n_states):
-        loop = edges.pop((r, r), None)
-        into = {p: e for (p, q), e in edges.items() if q == r and p != r}
-        outof = {q: e for (p, q), e in edges.items() if p == r and q != r}
-        for key in list(edges):
-            if r in key:
-                del edges[key]
-        for p, e_in in into.items():
-            for q, e_out in outof.items():
-                path = e_in
-                if loop is not None:
-                    path = _simplify_product(path, Star(loop))
-                path = _simplify_product(path, e_out)
-                add(p, q, path)
-    return edges.get((start, end), Finite())
+    dead = block_of[n]
+    start = block_of[acc.initial.bit_length() - 1] if acc.initial else dead
+    ids = {start: 0} if start != dead else {}
+    rows: list[tuple[int, ...]] = []
+    queue = deque(ids)
+    while queue:
+        s = next(iter(blocks[queue.popleft()]))
+        row = [0] * len(acc.letters)
+        for (_, i), target in zip(letters, targets):
+            b = block_of[target[s]]
+            if b != dead:
+                if b not in ids:
+                    ids[b] = len(ids)
+                    queue.append(b)
+                row[i] = 1 << ids[b]
+        rows.append(tuple(row))
+    out_finals = sum(1 << j for b, j in ids.items() if blocks[b] & finals)
+    return Acceptor(acc.alphabet, rows, 1 if ids else 0, out_finals)
 
 
 # -- expression-level membership -------------------------------------------

@@ -508,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("refute", help="refute a rational description of positive word values")
     p.add_argument("--word", required=True)
     p.add_argument("--expr", required=True, help="s-expression text or file path")
-    p.add_argument("--enum-cap", type=int, default=6)
+    p.add_argument("--enum-cap", type=int, default=6, help="longest first-return loop read per looping component")
     p.add_argument("--probe-depth", type=int, default=3)
     p.add_argument("--foreign-cap", type=int, default=10)
     p.add_argument("--out")

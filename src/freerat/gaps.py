@@ -25,7 +25,7 @@ from freerat.freeprod import (
     fp_substitute,
     support,
 )
-from freerat.words import Word, WordClass, classify, exponent_gcd
+from freerat.words import MAX_WORD_LETTERS, Word, WordClass, classify, exponent_gcd
 
 
 # -- gap profiles ----------------------------------------------------------
@@ -133,6 +133,11 @@ class ScanConfig:
             value = getattr(self, name)
             if value < low:
                 raise ValueError(f"{name} ({flag}) must be >= {low}, got {value}")
+        # a sample may have as many syllables as a parsed word has letters
+        if self.max_syllables > MAX_WORD_LETTERS:
+            raise ValueError(
+                f"max_syllables (--cap-len) must be <= {MAX_WORD_LETTERS}, got {self.max_syllables}"
+            )
 
 
 @dataclass(frozen=True)

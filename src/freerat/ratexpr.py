@@ -129,86 +129,6 @@ def _map_leaves(expr: RatExpr, f: Callable[[Word], Word]) -> RatExpr:
     raise TypeError(f"not a RatExpr: {expr!r}")
 
 
-# -- standard form ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Summand:
-    """One alternating product a₁E₁*a₂…a_tE_t*a_{t+1}."""
-
-    coefficients: tuple[Word, ...]  # length = len(stars) + 1
-    stars: tuple[RatExpr, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) != len(self.stars) + 1:
-            raise ValueError("need one more coefficient than starred factors")
-
-    def as_expr(self) -> RatExpr:
-        expr: RatExpr = Finite([self.coefficients[0]])
-        for star_base, coeff in zip(self.stars, self.coefficients[1:]):
-            expr = Product(expr, Product(Star(star_base), Finite([coeff])))
-        return expr
-
-
-@dataclass(frozen=True)
-class StandardForm:
-    summands: tuple[Summand, ...]
-
-    def as_expr(self) -> RatExpr:
-        if not self.summands:
-            return EMPTY
-        expr = self.summands[0].as_expr()
-        for s in self.summands[1:]:
-            expr = Union(expr, s.as_expr())
-        return expr
-
-
-def standard_form(expr: RatExpr) -> StandardForm:
-    """Distribute unions out of products and split Finite leaves, leaving
-    star bases untouched."""
-    return StandardForm(tuple(_summands(expr)))
-
-
-def summand_count(expr: RatExpr) -> int:
-    """The number of summands :func:`standard_form` would produce, found
-    without expanding them: one pass over the distinct nodes."""
-    counts: dict[int, int] = {}
-
-    def count(e: RatExpr) -> int:
-        key = id(e)
-        if key not in counts:
-            if isinstance(e, Finite):
-                counts[key] = len(e.elements)
-            elif isinstance(e, Union):
-                counts[key] = count(e.left) + count(e.right)
-            elif isinstance(e, Product):
-                counts[key] = count(e.left) * count(e.right)
-            elif isinstance(e, Star):
-                counts[key] = 1
-            else:
-                raise TypeError(f"not a RatExpr: {e!r}")
-        return counts[key]
-
-    return count(expr)
-
-
-def _summands(expr: RatExpr) -> list[Summand]:
-    if isinstance(expr, Finite):
-        return [Summand((g,), ()) for g in sorted(expr.elements)]
-    if isinstance(expr, Union):
-        return _summands(expr.left) + _summands(expr.right)
-    if isinstance(expr, Product):
-        out = []
-        for a in _summands(expr.left):
-            for b in _summands(expr.right):
-                glued = a.coefficients[:-1] + (a.coefficients[-1] * b.coefficients[0],)
-                out.append(Summand(glued + b.coefficients[1:], a.stars + b.stars))
-        return out
-    if isinstance(expr, Star):
-        return [Summand((IDENTITY, IDENTITY), (expr.inner,))]
-    raise TypeError(f"not a RatExpr: {expr!r}")
-
-
 # -- s-expression text form ------------------------------------------------
 
 

@@ -12,13 +12,17 @@ machine-checkable discrepancy certificate:
   block shapes every member of L must admit; this outcome depends on
   budgeted branch classification and is flagged as heuristic.
 
-The block analysis: writing L as a union of sandwiches a₁E₁*a₂…, each
-starred factor is classified by :func:`freerat.verbal.support_dichotomy_check`.
-Single-axis factors contribute power blocks, common-support factors
-contribute their closed support K, and every member of L then factors into
-at most n alternating (support-word, axis-power) pairs.  The witness word
-(x₁ᵗx₂)^{l·e} with t above every a-exponent of K and l = n+1 has too many
-axis runs to factor that way, yet is always a value of w.
+The block analysis reads the minimal DFA of the positive part of L.  Each
+nontrivial strongly connected component (more than one state, or a
+self-loop) is a starred factor, classified by
+:func:`freerat.verbal.support_dichotomy_check` on its first-return loops:
+single-axis factors contribute power blocks, common-support factors
+contribute their closed support K, and the letter runs on edges between
+components are the coefficients, also in K.  A path through m such
+components factors into at most n = 2m+1 alternating (support-word,
+axis-power) pairs.  The witness word (x₁ᵗx₂)^{l·e} with t above every
+a-exponent of K and l = n+1 has too many axis runs to factor that way, yet
+is always a value of w.
 """
 from __future__ import annotations
 
@@ -27,25 +31,14 @@ from functools import lru_cache
 
 from freerat.automata import (
     Acceptor,
-    automaton_to_expr,
     enumerate_accepted,
     intersect_positive,
-    is_finite,
-    reduced_acceptor,
-    trim,
+    minimize,
+    shortest_accepted,
+    strong_components,
 )
-from freerat.errors import GaveUp
-from freerat.freeprod import FREE_ZZ, Syllable, from_f2, to_f2
-from freerat.ratexpr import (
-    MAX_DEPTH,
-    RatExpr,
-    StandardForm,
-    format_ratexpr,
-    leaf_words,
-    parse_ratexpr,
-    standard_form,
-    summand_count,
-)
+from freerat.freeprod import Syllable, from_f2, to_f2
+from freerat.ratexpr import RatExpr, format_ratexpr, parse_ratexpr
 from freerat.verbal import (
     CommonSupportCase,
     RefutedCase,
@@ -67,7 +60,6 @@ from freerat.words import (
 )
 
 _AXIS = {1: "a", 2: "b"}
-_SUMMAND_BUDGET = 400  # summands standard_form may expand
 
 
 @dataclass(frozen=True)
@@ -99,60 +91,129 @@ class DecompositionScheme:
 class BranchRefuted(Exception):
     """A starred factor admits a certified non-value inside the candidate."""
 
-    def __init__(self, case: RefutedCase, summand_index: int, star_index: int):
+    def __init__(self, case: RefutedCase, component: int):
         self.case = case
-        self.summand_index = summand_index
-        self.star_index = star_index
-        super().__init__(
-            f"starred factor {star_index} of summand {summand_index} refuted"
-        )
+        self.component = component
+        super().__init__(f"starred factor of component {component} refuted")
+
+
+def positive_dfa(expr: RatExpr) -> Acceptor:
+    """The minimal DFA of the positive members of L(expr)."""
+    return minimize(intersect_positive(expr))
+
+
+def loop_components(acc: Acceptor) -> tuple[list[list[int]], list[bool]]:
+    """The strongly connected components of acc, each after every component
+    it reaches, and whether each reads a loop: has more than one state, or
+    a self-loop.  The nontrivial ones are the starred factors."""
+    succ = [0] * acc.n_states
+    for p, row in enumerate(acc.table):
+        for mask in row:
+            succ[p] |= mask
+    components = strong_components(succ)
+    return components, [len(m) > 1 or bool(succ[m[0]] >> m[0] & 1) for m in components]
+
+
+def _first_returns(acc: Acceptor, r: int, inside: int, cap: int) -> list[tuple[int, ...]]:
+    """The strings of length <= cap that lead from state r back to r,
+    through the states of ``inside`` and meeting r only at their end."""
+    by_letter = sorted(zip(acc.letters, range(len(acc.letters))))
+    loops = []
+    layer = [(r, ())]
+    for _ in range(cap):
+        nxt = []
+        for s, string in layer:
+            row = acc.table[s]
+            for a, i in by_letter:
+                t = row[i] & inside
+                if t >> r & 1:
+                    loops.append(string + (a,))
+                elif t:
+                    nxt.append((t.bit_length() - 1, string + (a,)))
+        layer = nxt
+    return loops
+
+
+def _entry_loops(acc: Acceptor, component: list[int], cap: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The state r at which a nontrivial component is read as a star, and
+    its first-return loops: of the states with two or more in-edges inside
+    the component, the one with the fewest loops, the first in state order
+    on ties.  With no such state the component is one cycle, every state
+    has the same loops, and r is its first state."""
+    inside = sum(1 << s for s in component)
+    entries = 0
+    seen = 0
+    for p in component:
+        for mask in acc.table[p]:
+            entries |= mask & inside & seen
+            seen |= mask & inside
+    states = [s for s in sorted(component) if entries >> s & 1] or sorted(component)
+    return min(((s, _first_returns(acc, s, inside, cap)) for s in states), key=lambda e: len(e[1]))
 
 
 def _analyze(
-    sf: StandardForm, w: Word, enum_cap: int, probe_depth: int
+    acc: Acceptor, w: Word, enum_cap: int, probe_depth: int
 ) -> tuple[DecompositionScheme, list[dict]]:
-    """Block constraints of a positive standard form, with one record per
-    classified starred factor.
+    """Block constraints of the language of a minimal positive DFA, with
+    one record per classified nontrivial component.
 
-    Coefficient syllables always enter the support set; each starred factor
-    is classified through its members of length <= enum_cap and contributes
-    its closed common support, or nothing when it is a single-axis power
-    set.  Raises :class:`BranchRefuted` when a factor contains a certified
-    non-value.
+    Components are numbered by their first state.  Each is classified
+    through its first-return loops of length <= enum_cap, between the
+    shortest string to its entry state and the shortest from there to a
+    final state, and contributes its closed common support, or nothing when
+    it is a single-axis power set.  Letter runs along edges between
+    components enter the support set.  Raises :class:`BranchRefuted` when a
+    component contains a certified non-value.
     """
-    support: set[Syllable] = set()
-    branches: list[dict] = []
+    components, looping = loop_components(acc)
+    comp_of = [0] * acc.n_states
+    for c, members in enumerate(components):
+        for s in members:
+            comp_of[s] = c
+    between = [(p, a, q) for p, a, q in acc.transitions() if comp_of[p] != comp_of[q]]
+    between.sort(key=lambda edge: comp_of[edge[0]])
+
+    # looping components on the longest path onward from each component:
+    # edges lead to earlier components, so a target is complete when met
+    after = [0] * len(components)
+    for p, _, q in between:
+        c, d = comp_of[p], comp_of[q]
+        after[c] = max(after[c], looping[d] + after[d])
     n = 1
-    for si, summand in enumerate(sf.summands):
-        n = max(n, 2 * len(summand.stars) + 1)
-        for coeff in summand.coefficients:
-            support.update(from_f2(coeff).syllables)
-        for bi, base in enumerate(summand.stars):
-            strings = enumerate_accepted(reduced_acceptor(base), enum_cap)
-            words = sorted(Word(s) for s in strings if s)
-            if not words:
-                continue
-            p = FREE_ZZ.identity
-            for c in summand.coefficients[: bi + 1]:
-                p = p * from_f2(c)
-            q = FREE_ZZ.identity
-            for c in summand.coefficients[bi + 1 :]:
-                q = q * from_f2(c)
-            case = support_dichotomy_check(
-                [from_f2(u) for u in words], p, q, w, budget=probe_depth
-            )
-            record = {"summand": si, "star": bi, "probe_depth": probe_depth}
-            if isinstance(case, SingleAxisCase):
-                record["kind"] = "single-axis"
-                record["axis"] = case.axis
-            elif isinstance(case, CommonSupportCase):
-                record["kind"] = "common-support"
-                record["syllables"] = sorted([f, k] for f, k in case.syllables)
-                support.update(case.syllables)
-            else:
-                assert isinstance(case, RefutedCase)
-                raise BranchRefuted(case, si, bi)
-            branches.append(record)
+    if acc.n_states:
+        start = comp_of[acc.initial.bit_length() - 1]
+        n += 2 * (looping[start] + after[start])
+
+    # the longest run of each letter along edges between components
+    run: dict[tuple[int, int], int] = {}
+    for p, a, q in reversed(between):
+        run[a, q] = max(run.get((a, q), 0), run.get((a, p), 0) + 1)
+    support = {(_AXIS[a], k) for (a, _), top in run.items() for k in range(1, top + 1)}
+
+    branches: list[dict] = []
+    nontrivial = sorted((min(m), m) for m, loops in zip(components, looping) if loops)
+    for i, (_, members) in enumerate(nontrivial):
+        r, loops = _entry_loops(acc, members, enum_cap)
+        if not loops:
+            continue
+        p = shortest_accepted(Acceptor(acc.alphabet, acc.table, acc.initial, 1 << r))
+        q = shortest_accepted(Acceptor(acc.alphabet, acc.table, 1 << r, acc.finals))
+        case = support_dichotomy_check(
+            [from_f2(Word(u)) for u in loops], from_f2(Word(p)), from_f2(Word(q)), w,
+            budget=probe_depth,
+        )
+        record = {"component": i, "probe_depth": probe_depth}
+        if isinstance(case, SingleAxisCase):
+            record["kind"] = "single-axis"
+            record["axis"] = case.axis
+        elif isinstance(case, CommonSupportCase):
+            record["kind"] = "common-support"
+            record["syllables"] = sorted([f, k] for f, k in case.syllables)
+            support.update(case.syllables)
+        else:
+            assert isinstance(case, RefutedCase)
+            raise BranchRefuted(case, i)
+        branches.append(record)
     return DecompositionScheme(frozenset(support), n), branches
 
 
@@ -324,11 +385,16 @@ def refute(
     if cls is WordClass.IMPROPER:
         raise ValueError("exponent gcd 1: every element is a value, nothing to refute")
 
-    acc = trim(intersect_positive(expr))
+    acc = positive_dfa(expr)
+    try:
+        scheme, branches = _analyze(acc, w, enum_cap, probe_depth)
+    except BranchRefuted as br:
+        return _foreign_report(w, expr, acc, br, foreign_cap)
 
-    if is_finite(acc):
-        # Finite positive part: powers of x₁ are values and almost all of
-        # them are missing; report the first, noting the next as well.
+    if scheme.n == 1:
+        # No looping component, so a finite positive part: powers of x₁
+        # are values and almost all of them are missing; report the first,
+        # noting the next as well.
         e = exponent_gcd(w)
         k = 1
         while acc.accepts(tuple([1] * (e * k))):
@@ -346,33 +412,16 @@ def refute(
             },
         )
 
-    # With all-positive leaves, the expression denotes only positive words
-    # and its own standard form can be analyzed; otherwise rebuild an
-    # expression for the positive part from the acceptor, no deeper than a
-    # parsed one, since the tree walks below recurse.  Its summands are
-    # counted before they are expanded, so millions of them give up at once.
-    if all(g.is_positive() for g in leaf_words(expr)):
-        positive = expr
-    else:
-        positive = automaton_to_expr(acc)
-        if positive.complexity > MAX_DEPTH:
-            raise GaveUp(
-                f"the rebuilt positive part nests {positive.complexity} levels deep, "
-                f"past the nesting budget of {MAX_DEPTH}"
-            )
-    count = summand_count(positive)
-    if count > _SUMMAND_BUDGET:
-        raise GaveUp(f"{count} summands exceed the summand budget of {_SUMMAND_BUDGET}")
-    sf = standard_form(positive)
+    return _scheme_report(w, expr, acc, scheme, branches)
 
-    try:
-        scheme, branches = _analyze(sf, w, enum_cap, probe_depth)
-    except BranchRefuted as br:
-        return _foreign_report(w, expr, acc, br, foreign_cap)
 
+def _scheme_report(
+    w: Word, expr: RatExpr, acc: Acceptor, scheme: DecompositionScheme, branches: list[dict]
+) -> RefutationReport:
+    """The witness of a block scheme, reported missing when acc rejects it
+    and as an inconsistent branch when acc accepts it."""
     wc = witness_word(w, scheme)
-    accepted = acc.accepts_word(wc.u)
-    if not accepted:
+    if not acc.accepts_word(wc.u):
         return _transcript_report(
             w,
             expr,
@@ -412,8 +461,8 @@ def _foreign_report(
             }
             return RefutationReport(w, expr, "foreign-element", g, True, certificate)
 
-    # Fall back to the refuted branch's family members (already embedded
-    # between the summand coefficients, hence accepted).
+    # Fall back to the refuted component's family members (embedded
+    # between the strings to and from its entry state, hence accepted).
     case = br.case
     candidates = [to_f2(m) for m in case.family.members]
     for g in candidates:
@@ -423,7 +472,7 @@ def _foreign_report(
                 "kind": "foreign-element",
                 "nonvalue": cert,
                 "accepted": True,
-                "source": {"summand": br.summand_index, "star": br.star_index},
+                "source": {"component": br.component},
             }
             return RefutationReport(w, expr, "foreign-element", g, True, certificate)
     g = to_f2(case.witness)
@@ -433,7 +482,7 @@ def _foreign_report(
         "kind": "foreign-element",
         "nonvalue": case.certificate,
         "accepted": True,
-        "source": {"summand": br.summand_index, "star": br.star_index},
+        "source": {"component": br.component},
         "heuristic_note": "gap-growth evidence without an exact non-value proof",
     }
     return RefutationReport(w, expr, "foreign-element", g, False, certificate)
@@ -445,15 +494,20 @@ def _foreign_report(
 def replay_report(report: dict) -> bool:
     """Re-verify a serialized report from scratch: transcripts re-reduce,
     acceptor verdicts recompute, and non-value proofs re-fail.  Heuristic
-    certificates replay their exact parts only."""
+    certificates replay their exact parts only.  A report of the wrong
+    shape (a field missing or of the wrong type) does not replay."""
     try:
-        w = parse_word(report["word"])
-        expr = parse_ratexpr(report["expression"])
-        witness = parse_word(report["witness"])
-        certificate = report["certificate"]
-        outcome = report["outcome"]
-    except (KeyError, ValueError):
+        return _replay(report)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
         return False
+
+
+def _replay(report: dict) -> bool:
+    w = parse_word(report["word"])
+    expr = parse_ratexpr(report["expression"])
+    witness = parse_word(report["witness"])
+    certificate = report["certificate"]
+    outcome = report["outcome"]
     acc = intersect_positive(expr)
 
     def transcript_ok(tr: dict) -> bool:

@@ -376,9 +376,10 @@ def _positivize_product(l1: RatExpr, l2: RatExpr, left: Word, right: Word, depth
             "sample_cap": cap,
             "children": [t1, t2],
         }
+    reason = f" ({last_error})" if last_error is not None else ""
     raise GaveUp(
         f"no middle element found for the product split within the sample caps "
-        f"{', '.join(map(str, _ENUM_STEPS))} ({last_error})"
+        f"{', '.join(map(str, _ENUM_STEPS))}{reason}"
     )
 
 

@@ -10,6 +10,7 @@ import random
 import time
 
 from oracle_enum import enumerate_bounded
+from oracle_refute import refute_by_standard_form
 from oracle_squares import exhaustive_square_gamma_max
 from oracle_verbal import lattice_index
 
@@ -17,9 +18,7 @@ from freerat.automata import (
     enumerate_accepted,
     equivalent,
     intersect_positive,
-    is_finite,
     reduced_acceptor,
-    trim,
 )
 from freerat.freeprod import FREE_ZZ, FreeProduct, to_f2
 from freerat.gaps import ScanConfig, criterion_scan, unbounded_family
@@ -33,7 +32,8 @@ from freerat.ratexpr import (
     leaf_words,
     parse_ratexpr,
 )
-from freerat.refuter import refute, replay_report
+from freerat.errors import GaveUp
+from freerat.refuter import loop_components, positive_dfa, refute, replay_report
 from freerat.signs import (
     STANDARD_F2_SIGN,
     SignModel,
@@ -440,19 +440,74 @@ def _mixed_sign_tree(rng, depth: int):
     return cls(_mixed_sign_tree(rng, depth - 1), _mixed_sign_tree(rng, depth - 1))
 
 
-def test_is_finite_matches_pumping_oracle_on_corpus():
+def test_no_looping_component_matches_pumping_oracle_on_corpus():
     # a trimmed n-state acceptor has an infinite language exactly when it
     # accepts a string of some length n..2n-1 (pumping on accepting paths)
     rng = random.Random(20261018)
     exprs = list(_refuter_corpus()) + [_mixed_sign_tree(rng, rng.randint(1, 4)) for _ in range(200)]
     verdicts = set()
     for expr in exprs:
-        acc = trim(intersect_positive(expr))
+        acc = positive_dfa(expr)
         n = acc.n_states
         infinite = any(len(s) >= n for s in enumerate_accepted(acc, 2 * n - 1))
-        assert is_finite(acc) == (not infinite), format_ratexpr(expr)
+        assert any(loop_components(acc)[1]) == infinite, format_ratexpr(expr)
         verdicts.add(infinite)
     assert verdicts == {False, True}
+
+
+def _positive_leaf_tree(rng, depth: int):
+    pool = [parse_word(t) for t in ["x1", "x2", "x1 x2", "x2 x1", "x1^2", "x2^2", "x1 x2 x1", "x2 x1^2"]]
+    if depth == 0 or rng.random() < 0.25:
+        return Finite(rng.sample(pool, rng.randint(1, 2)))
+    kind = rng.choice(("union", "prod", "prod", "star") if depth <= 2 else ("union", "prod", "prod"))
+    if kind == "star":
+        return Star(_positive_leaf_tree(rng, depth - 1))
+    cls = Union if kind == "union" else Product
+    return cls(_positive_leaf_tree(rng, depth - 1), _positive_leaf_tree(rng, depth - 1))
+
+
+def _answer(expr, w, refuter):
+    """(outcome, exact) of a replayed report, or "gave-up"."""
+    try:
+        report = refuter(expr, w)
+    except GaveUp:
+        return "gave-up"
+    assert replay_report(json.loads(json.dumps(report.as_json()))), format_ratexpr(expr)
+    return report.outcome, report.exact
+
+
+def test_component_scheme_never_worse_than_standard_forms():
+    # The refuter's scheme, read off the components of the minimal
+    # positive DFA, against the scheme of the standard form of a
+    # positive-leaf expression: every report replays, an exact answer stays
+    # exact and an answer stays an answer.  Outcome kinds may move between
+    # exact certificates; the moves on this corpus are pinned.
+    start = time.perf_counter()
+    rng = random.Random(20261019)
+    words = [parse_word(t) for t in ("x1^2", "x1^3", "x1^2 x2^2")]
+    cases = [(expr, parse_word("x1^2")) for expr in _refuter_corpus() if all(g.is_positive() for g in leaf_words(expr))]
+    cases += [(_positive_leaf_tree(rng, rng.randint(2, 4)), rng.choice(words)) for _ in range(200)]
+    moved = {}
+    for expr, w in cases:
+        new = _answer(expr, w, refute)
+        old = _answer(expr, w, refute_by_standard_form)
+        assert new != "gave-up" or old == "gave-up", format_ratexpr(expr)
+        if old != "gave-up" and old[1]:
+            assert new[1], format_ratexpr(expr)
+        if new != old:
+            moved[format_ratexpr(expr), w] = (old, new)
+    # on two inputs, a star factor that the standard form refutes lies in
+    # a larger loop component, and the set rejects that scheme's witness
+    assert sorted(moved.values()) == [(("foreign-element", True), ("missing-value", True))] * 2, moved
+    assert time.perf_counter() - start < 60.0
+
+
+def test_component_scheme_answers_mixed_sign_trees():
+    rng = random.Random(20261020)
+    w = parse_word("x1^2")
+    for _ in range(200):
+        expr = _mixed_sign_tree(rng, rng.randint(1, 4))
+        assert _answer(expr, w, refute) != "gave-up", format_ratexpr(expr)
 
 
 # -- criterion 10: abelianized verbal subgroup index ------------------------

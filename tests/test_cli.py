@@ -1,6 +1,7 @@
 """Command-line surface: plain-text outputs, JSON envelope + schema
 validation, CSV hand-off, byte-determinism, and exit codes."""
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import freerat
 from freerat.cli import SCHEMA_ID, main
 from freerat.errors import GaveUp
 from freerat.ratexpr import MAX_DEPTH
@@ -152,6 +154,16 @@ def test_sign_positivize_product_samples_are_exact(capsys):
     assert result["trace"]["sample_cap"] == 6
 
 
+def test_sign_positivize_product_split_give_up_names_only_the_caps(capsys):
+    # {x1^5 x2^16}: the right factor's one member has 17 letters, past the
+    # last sample cap, and no split attempt raised
+    code, out, err = run_cli(
+        capsys, "sign", "positivize", "--expr", "(prod (fin (x1^-1)) (fin (x1 x2^16)))", "--left", "x1^5"
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: no middle element found for the product split within the sample caps 6, 10, 14\n"
+
+
 def test_gaps_profile_delta_table(capsys):
     result = run_json(capsys, "gaps", "profile", "--u", "b a b", "--b", "b^1")["result"]
     assert result["table"] == {"1": [1, 0]}
@@ -261,15 +273,16 @@ def test_gaps_scan_out_file_with_json_summary(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag,value,name,low",
+    "flag,value,name,bound",
     [
         ("--samples", "-3", "samples", 0),
         ("--cap-len", "-1", "max_syllables", 0),
         ("--max-exponent", "0", "max_exponent", 1),
         ("--max-exponent", "-2", "max_exponent", 1),
+        ("--cap-len", "1000000000", "max_syllables", MAX_WORD_LETTERS),
     ],
 )
-def test_gaps_scan_refuses_out_of_range_bounds(capsys, tmp_path, flag, value, name, low):
+def test_gaps_scan_refuses_out_of_range_bounds(capsys, tmp_path, flag, value, name, bound):
     path = tmp_path / "scan.csv"
     start = time.perf_counter()
     code, out, err = run_cli(
@@ -277,7 +290,8 @@ def test_gaps_scan_refuses_out_of_range_bounds(capsys, tmp_path, flag, value, na
     )
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
-    assert err == f"error: {name} ({flag}) must be >= {low}, got {value}\n"
+    relation = ">=" if int(value) < bound else "<="
+    assert err == f"error: {name} ({flag}) must be {relation} {bound}, got {value}\n"
     assert not path.exists()
 
 
@@ -303,8 +317,8 @@ def test_refute_missing_value_stdout(capsys):
 
 
 def test_refute_long_finite_leaf(capsys):
-    # A 1,500-letter leaf trims to a chain of 1,500 states; the acyclicity
-    # check walks it without recursing once per state.
+    # A 1,500-letter leaf makes a chain of 1,500 states; minimization and
+    # the component pass walk it without recursing once per state.
     payload = run_json(capsys, "refute", "--word", "x1^2", "--expr", "(fin x1^1500)")
     result = payload["result"]
     assert result["outcome"] == "missing-value"
@@ -336,28 +350,27 @@ def test_refute_replay_failure_exits_nonzero(capsys, monkeypatch):
 
 def test_refute_runtime_error_exits_3(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
-        raise GaveUp("summand budget exhausted")
+        raise GaveUp("product probe exceeded the budget of 100000 elements")
 
     monkeypatch.setattr("freerat.cli.refute", exhausted)
     code, out, err = run_cli(capsys, "refute", "--word", "x1^2", "--expr", SQUARES_EXPR)
     assert code == 3
     assert out == ""
-    assert err == "error: summand budget exhausted\n"
+    assert err == "error: product probe exceeded the budget of 100000 elements\n"
 
 
-def test_refute_summand_budget_gives_up_before_expanding(capsys):
-    # the trimmed positive part's expression has 2,561,238 summands; they
-    # are counted, not built
+def test_refute_star_of_unions_answers_exactly(capsys):
+    # the positive part's minimal DFA has one 6-state component; expanded
+    # into a standard form, it would have millions of summands
     start = time.perf_counter()
-    code, out, err = run_cli(
+    result = run_json(
         capsys,
         "refute", "--word", "x1^2",
         "--expr", "(star (union (fin (x1 x2) (x2 x1)) (fin x2^2 (x1^-1 x2 x1))))",
-    )
-    assert code == 3
-    assert out == ""
-    assert err == "error: 2561238 summands exceed the summand budget of 400\n"
-    assert time.perf_counter() - start < 10.0
+    )["result"]
+    assert (result["replayed"], result["exact"]) == (True, True)
+    assert result["outcome"] == "foreign-element"
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize(
@@ -367,16 +380,14 @@ def test_refute_summand_budget_gives_up_before_expanding(capsys):
         "(star (fin (x1^-1 x2^1500 x1) x1))",
     ],
 )
-def test_refute_deep_rebuilt_positive_part_gives_up(capsys, expr):
-    # state elimination nests one product per chain state of the positive
-    # part, far past the depth the expression tree walks can recurse
+def test_refute_long_chain_positive_part_answers_exactly(capsys, expr):
+    # the positive part's DFA has a chain of 1,500 states; minimization and
+    # the component pass walk it without recursing once per state
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "refute", "--word", "x1^2", "--expr", expr)
-    assert code == 3
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert f"nesting budget of {MAX_DEPTH}" in err
-    assert time.perf_counter() - start < 10.0
+    result = run_json(capsys, "refute", "--word", "x1^2", "--expr", expr)["result"]
+    assert (result["replayed"], result["exact"]) == (True, True)
+    assert result["outcome"] == "missing-value"
+    assert time.perf_counter() - start < 5.0
 
 
 def _nested_unions(levels: int) -> str:
@@ -518,10 +529,14 @@ def test_gaps_profile_rejects_multi_syllable_b(capsys):
 
 
 def test_python_m_invocation():
+    # the child finds the package where this process imported it from
+    src = str(Path(freerat.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "freerat", "word", "reduce", "x1 x1^-1 x2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "x2\n"

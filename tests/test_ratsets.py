@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from freerat.automata import (
     Acceptor,
-    automaton_to_expr,
     complement_reduced,
     determinize,
     difference,
@@ -17,6 +16,7 @@ from freerat.automata import (
     intersect_positive,
     is_empty,
     member,
+    minimize,
     positive_universe,
     reduced_acceptor,
     saturate,
@@ -29,7 +29,6 @@ from freerat.ratexpr import (
     Product,
     RatExpr,
     Star,
-    Summand,
     Union,
     complexity,
     _map_leaves,
@@ -38,11 +37,11 @@ from freerat.ratexpr import (
     format_ratexpr,
     leaf_words,
     parse_ratexpr,
-    standard_form,
 )
 from freerat.words import IDENTITY, Word, generator, parse_word, substitute
 
 from oracle_enum import enumerate_bounded
+from oracle_refute import Summand, standard_form
 from oracle_saturate import acceptor_to_json
 
 x1 = generator(1)
@@ -255,42 +254,67 @@ def test_summand_shape_validation():
         Summand((IDENTITY,), (finite("x1"),))
 
 
-# -- expression <-> automaton ----------------------------------------------
+# -- minimization -------------------------------------------------------------
 
 
-def test_expr_automaton_roundtrip_frozen():
-    acc = saturate(finite("x1"))
-    assert acc.n_states == 2 and len(list(acc.transitions())) == 1
+def _distinguishing_string(acc: Acceptor, p: int, q: int):
+    """A shortest string accepted from exactly one of the states p and q
+    of a DFA, by breadth-first search over pairs of states (0 = stuck)."""
+    seen = {(1 << p, 1 << q)}
+    layer = [((1 << p, 1 << q), ())]
+    while layer:
+        nxt = []
+        for (a, b), string in layer:
+            if bool(a & acc.finals) != bool(b & acc.finals):
+                return string
+            for letter in sorted(acc.letters):
+                pair = (acc.step(a, letter), acc.step(b, letter))
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.append((pair, string + (letter,)))
+        layer = nxt
+    return None
 
-    back = automaton_to_expr(reduced_acceptor(Star(finite("x1"))))
-    assert enumerate_bounded(back, 4) == enumerate_bounded(Star(finite("x1")), 4)
+
+def _accepts_from(acc: Acceptor, state: int, string) -> bool:
+    return Acceptor(acc.alphabet, acc.table, 1 << state, acc.finals).accepts(string)
 
 
-def test_expr_automaton_roundtrip_random():
-    # exact language comparison via saturated acceptors, so the check is
-    # independent of enumeration horizons
-    for expr in EXPR_SAMPLES[:12] + EXPR_DEEP:
-        back = automaton_to_expr(reduced_acceptor(expr))
-        assert equivalent(reduced_acceptor(back), reduced_acceptor(expr)), (
-            format_ratexpr(expr)
-        )
+def test_minimize_is_equivalent_with_pairwise_distinct_states():
+    for expr in EXPR_SAMPLES + EXPR_DEEP:
+        for dfa in (reduced_acceptor(expr), intersect_positive(expr)):
+            small = minimize(dfa)
+            assert equivalent(small, dfa), format_ratexpr(expr)
+            assert small.n_states <= dfa.n_states
+            for p, q in itertools.combinations(range(small.n_states), 2):
+                string = _distinguishing_string(small, p, q)
+                assert string is not None, (format_ratexpr(expr), p, q)
+                assert _accepts_from(small, p, string) != _accepts_from(small, q, string)
+            # every state is reachable from the initial one and live
+            for s in range(small.n_states):
+                assert shortest_accepted(Acceptor(small.alphabet, small.table, small.initial, 1 << s)) is not None
+                assert shortest_accepted(Acceptor(small.alphabet, small.table, 1 << s, small.finals)) is not None
 
 
-def test_automaton_to_expr_reads_every_initial_state():
-    # disjoint union of two DFAs over one alphabet: the initial mask has
-    # two states, and the expression must denote both languages
-    for e1, e2 in zip(EXPR_SAMPLES[:6], EXPR_SAMPLES[6:12]):
-        a, b = reduced_acceptor(e1), reduced_acceptor(e2)
-        assert a.letters == b.letters
-        shift = a.n_states
-        table = list(a.table) + [tuple(mask << shift for mask in row) for row in b.table]
-        both = Acceptor(a.alphabet, table, a.initial | b.initial << shift, a.finals | b.finals << shift)
-        assert bin(both.initial).count("1") == 2
-        back = automaton_to_expr(both)
-        assert equivalent(reduced_acceptor(back), reduced_acceptor(Union(e1, e2))), (
-            format_ratexpr(e1),
-            format_ratexpr(e2),
-        )
+def test_minimize_numbers_states_by_the_language_alone():
+    # the same language from different expressions gives the same table
+    evens = Star(finite("x1^2"))
+    spelled = Union(EPSILON, Product(finite("x1 x1"), Star(Union(finite("x1^2"), finite("x1^4")))))
+    a, b = minimize(reduced_acceptor(evens)), minimize(reduced_acceptor(spelled))
+    assert (a.table, a.initial, a.finals) == (b.table, b.initial, b.finals)
+    assert a.n_states == 2
+    # breadth-first from the initial state: x1 before x2
+    c = minimize(intersect_positive(Union(finite("x2 x2"), finite("x1"))))
+    assert c.initial == 1
+    assert c.step(1, 1) == 1 << 1 and c.step(1, 2) == 1 << 2
+    assert minimize(c).table == c.table
+
+
+def test_minimize_of_the_empty_language_has_no_states():
+    for expr in (EMPTY, finite("x1^-1"), Product(finite("x1"), finite("x1^-1 x2^-1"))):
+        small = minimize(intersect_positive(expr))
+        assert (small.n_states, small.initial, small.finals) == (0, 0, 0)
+        assert is_empty(small)
 
 
 # -- saturation and membership ---------------------------------------------
@@ -301,6 +325,9 @@ def strings(acc: Acceptor, max_len: int) -> set:
 
 
 def test_saturate_frozen_examples():
+    acc = saturate(finite("x1"))
+    assert acc.n_states == 2 and len(list(acc.transitions())) == 1
+
     cancel = saturate(Product(finite("x1"), finite("x1^-1")))
     assert strings(cancel, 4) == {()}
 

@@ -5,12 +5,15 @@ import random
 
 import pytest
 
-from freerat.ratexpr import Finite, Product, Star, Union, standard_form
+from freerat.ratexpr import Finite, Product, Star, Union
 from freerat.refuter import (
     BranchRefuted,
     DecompositionScheme,
     _analyze,
+    _entry_loops,
     decomposable,
+    loop_components,
+    positive_dfa,
     refute,
     replay_report,
     witness_word,
@@ -23,10 +26,10 @@ W = parse_word
 SQ = W("x1^2")
 
 
-def extract_scheme(sf, w):
-    """The block scheme of a positive standard form at the refuter's
+def extract_scheme(expr, w):
+    """The block scheme of the positive part of expr at the refuter's
     default caps, without the per-branch records."""
-    s, _ = _analyze(sf, w, enum_cap=6, probe_depth=3)
+    s, _ = _analyze(positive_dfa(expr), w, enum_cap=6, probe_depth=3)
     return s
 
 
@@ -53,29 +56,69 @@ def test_scheme_json_roundtrip():
 
 def test_extract_scheme_frozen():
     # lone star over one axis: no support, three blocks
-    s = extract_scheme(standard_form(Star(Finite([SQ]))), SQ)
+    s = extract_scheme(Star(Finite([SQ])), SQ)
     assert s == scheme([], 3)
     # coefficient in front adds its syllable
-    s = extract_scheme(standard_form(Product(Finite([W("x1")]), Star(Finite([W("x2")])))), SQ)
+    s = extract_scheme(Product(Finite([W("x1")]), Star(Finite([W("x2")]))), SQ)
     assert s == scheme([("a", 1)], 3)
-    # two starred factors in one summand: five blocks
-    s = extract_scheme(
-        standard_form(Product(Star(Finite([W("x1")])), Star(Finite([W("x2")])))), SQ
-    )
-    assert s == scheme([], 5)
-    # a finite summand alone: one block, syllables from its word
-    s = extract_scheme(standard_form(Finite([W("x1^2 x2")])), SQ)
-    assert s == scheme([("a", 2), ("b", 1)], 1)
-    # common-support base contributes its closed support
-    s = extract_scheme(standard_form(Star(Finite([W("x1 x2^2")]))), SQ)
+    # two looping components on one path: five blocks; the edge between
+    # them reads the first x2
+    s = extract_scheme(Product(Star(Finite([W("x1")])), Star(Finite([W("x2")]))), SQ)
+    assert s == scheme([("b", 1)], 5)
+    # a finite part alone: one block, the closed letter runs of its word
+    s = extract_scheme(Finite([W("x1^2 x2")]), SQ)
+    assert s == scheme([("a", 1), ("a", 2), ("b", 1)], 1)
+    # common-support loop contributes its closed support
+    s = extract_scheme(Star(Finite([W("x1 x2^2")])), SQ)
     assert s == scheme([("a", 1), ("b", 1), ("b", 2)], 3)
+    # the empty set: one block, no support
+    s = extract_scheme(Finite([W("x1^-1")]), SQ)
+    assert s == scheme([], 1)
 
 
 def test_extract_scheme_refuted_branch_raises():
-    sf = standard_form(Star(Finite([W("x1 x2"), W("x1 x2^2")])))
+    expr = Star(Finite([W("x1 x2"), W("x1 x2^2")]))
     with pytest.raises(BranchRefuted) as err:
-        extract_scheme(sf, SQ)
+        extract_scheme(expr, SQ)
     assert err.value.case.exact
+    assert err.value.component == 0
+
+
+def test_loop_read_at_the_entry_state_with_fewest_first_returns():
+    # (x1 x2 x1 | x1 x2 x1 x2)*: states 0 -x1-> 1 -x2-> 2 -x1-> 3, then
+    # 3 -x1-> 1 and 3 -x2-> 0.  Only state 1 has two in-edges inside the
+    # component; its first returns x2 x1^2 and (x2 x1)^2 have different
+    # supports, while state 0 sees the one loop (x1 x2)^2 within 6 letters.
+    expr = Star(Product(Finite([W("x1 x2")]), Finite([W("x1"), W("x1 x2")])))
+    acc = positive_dfa(expr)
+    components, looping = loop_components(acc)
+    assert looping == [True] and sorted(components[0]) == [0, 1, 2, 3]
+    r, loops = _entry_loops(acc, components[0], 6)
+    assert r == 1
+    assert [Word(u) for u in loops] == [W("x2 x1^2"), W("x2 x1 x2 x1")]
+    report = refute(expr, SQ)
+    assert report.outcome == "foreign-element" and report.exact
+    assert report.witness == W("x1 x2 x1")
+    assert replay_report(report.as_json())
+    # on a simple cycle, the state nearest the initial one
+    acc = positive_dfa(Product(Finite([W("x2")]), Star(Finite([W("x1 x2 x1")]))))
+    components, looping = loop_components(acc)
+    (cycle,) = [c for c, loops in zip(components, looping) if loops]
+    assert sorted(cycle) == [1, 2, 3]
+    assert _entry_loops(acc, cycle, 6) == (1, [(1, 2, 1)])
+
+
+def test_loop_components_finish_after_what_they_reach():
+    # x1* x2 (x1 x2)* x2: components in the order a search finishes them
+    expr = Product(
+        Product(Star(Finite([W("x1")])), Finite([W("x2")])),
+        Product(Star(Finite([W("x1 x2")])), Finite([W("x2")])),
+    )
+    acc = positive_dfa(expr)
+    components, looping = loop_components(acc)
+    assert [sorted(c) for c in components] == [[3], [1, 2], [0]]
+    assert looping == [False, True, True]
+    assert extract_scheme(expr, SQ).n == 5
 
 
 # -- witness words ----------------------------------------------------------
@@ -250,6 +293,37 @@ def test_replay_rejects_tampered_reports():
     assert not replay_report(bad)
 
 
+def _edited(report, edit):
+    copy = json.loads(json.dumps(report))
+    edit(copy)
+    return copy
+
+
 def test_replay_rejects_malformed_reports():
     assert not replay_report({})
     assert not replay_report({"word": "x1^2", "outcome": "nonsense"})
+    assert not replay_report([])
+    missing = refute(Star(Finite([SQ])), SQ).as_json()
+    foreign = refute(Star(Finite([W("x1"), W("x2")])), SQ).as_json()
+    abelian = refute(Star(Finite([W("x1"), W("x2")])), W("x1^2 x2^2")).as_json()
+    assert abelian["certificate"]["nonvalue"]["method"] == "abelianization"
+    assert all(replay_report(r) for r in (missing, foreign, abelian))
+    for report, edit in (
+        # missing structure
+        (missing, lambda r: r.update(certificate={})),
+        (missing, lambda r: r["certificate"]["transcript"].pop("base")),
+        (foreign, lambda r: r["certificate"]["nonvalue"].pop("method")),
+        (foreign, lambda r: r["certificate"].pop("nonvalue")),
+        (abelian, lambda r: r["certificate"]["nonvalue"].pop("modulus")),
+        # wrong-typed fields
+        (missing, lambda r: r.update(word=2)),
+        (missing, lambda r: r.update(certificate=[])),
+        (missing, lambda r: r["certificate"].update(transcript="x1 x2")),
+        (missing, lambda r: r["certificate"]["transcript"].update(images=3)),
+        (missing, lambda r: r["certificate"]["transcript"].update(exponents=[1.5])),
+        (missing, lambda r: r["certificate"]["transcript"].update(degree=None)),
+        (foreign, lambda r: r["certificate"].update(nonvalue=None)),
+        (foreign, lambda r: r["certificate"]["nonvalue"].update(degree="2")),
+        (abelian, lambda r: r["certificate"]["nonvalue"].update(modulus="2")),
+    ):
+        assert not replay_report(_edited(report, edit))
