@@ -374,6 +374,29 @@ def shortest_accepted(acc: Acceptor) -> Optional[tuple[int, ...]]:
     return None
 
 
+def shortest_with_inverse(acc: Acceptor) -> Optional[tuple[int, ...]]:
+    """The first accepted string (by length, then lexicographically over the
+    sorted alphabet) that has an inverse letter, or None when there is none.
+
+    A breadth-first search over (states, whether an inverse letter was
+    read): the pair fixes which continuations are accepted, so the first
+    prefix to reach it is the only one kept."""
+    by_letter = sorted(zip(acc.letters, range(len(acc.letters))))
+    seen = {(acc.initial, False)}
+    queue = deque([(acc.initial, False, ())])
+    while queue:
+        states, inverse, string = queue.popleft()
+        if inverse and states & acc.finals:
+            return string
+        stepped = acc.successors(states)
+        for a, i in by_letter:
+            key = (stepped[i], inverse or a < 0)
+            if key[0] and key not in seen:
+                seen.add(key)
+                queue.append((*key, string + (a,)))
+    return None
+
+
 def is_empty(acc: Acceptor) -> bool:
     return shortest_accepted(acc) is None
 
@@ -505,15 +528,27 @@ def member(expr: RatExpr, g: Word) -> bool:
     return reduced_acceptor(expr).accepts_word(g)
 
 
-def positive_universe() -> Acceptor:
-    """All strings over the positive letters 1 and 2 (no inverses): one
-    state, initial and final, with a loop on each letter."""
-    return Acceptor(frozenset((1, 2)), [(1, 1)], 1, 1)
-
-
 def intersect_positive(expr: RatExpr) -> Acceptor:
-    """Acceptor of the positive members of a rational subset of F₂,
-    as strings over {x₁, x₂}."""
+    """DFA of the positive members of a rational subset of F₂, as strings
+    over {x₁, x₂}: the states of ``reduced_acceptor(expr)`` that positive
+    letters reach from its initial state, numbered breadth-first, with no
+    edges on inverse letters."""
     if max_rank(expr) > 2:
         raise ValueError("positive intersection is defined over F2")
-    return intersect(reduced_acceptor(expr), positive_universe())
+    dfa = reduced_acceptor(expr)
+    positive = [i for i, a in enumerate(dfa.letters) if a > 0]
+    order = [dfa.initial]
+    ids = {dfa.initial: 0}
+    rows = []
+    for state in order:  # grows while it is read
+        successors = dfa.table[state.bit_length() - 1]
+        row = [0] * len(dfa.letters)
+        for i in positive:
+            nxt = successors[i]
+            if nxt not in ids:
+                ids[nxt] = len(order)
+                order.append(nxt)
+            row[i] = 1 << ids[nxt]
+        rows.append(tuple(row))
+    finals = sum(1 << i for i, state in enumerate(order) if state & dfa.finals)
+    return Acceptor(dfa.alphabet, rows, 1, finals)

@@ -162,6 +162,8 @@ def _rat_positive(args) -> int:
 
 
 def _rat_enumerate(args) -> int:
+    if args.cap_len < 0:
+        raise ValueError(f"--cap-len must be nonnegative, got {args.cap_len}")
     expr = _load_expr(args.expr)
     words = sorted(Word(s) for s in enumerate_accepted(reduced_acceptor(expr), args.cap_len))
     result = {

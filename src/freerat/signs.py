@@ -20,12 +20,11 @@ from typing import Iterable, Optional
 
 from freerat.automata import (
     Acceptor,
-    difference,
     enumerate_accepted,
     is_empty,
-    positive_universe,
+    live_states,
     reduced_acceptor,
-    shortest_accepted,
+    shortest_with_inverse,
 )
 from freerat.errors import GaveUp
 from freerat.freeprod import (
@@ -53,7 +52,11 @@ class NotPositiveError(ValueError):
     """A set required to be positive has a negative member."""
 
     def __init__(self, message: str, witness):
-        super().__init__(f"{message}: {witness!r}")
+        if isinstance(witness, Word):
+            shown = format_word(witness)
+        else:  # a pair (s, t) of free-product elements
+            shown = "(" + ", ".join(format_fp(u) for u in witness) + ")"
+        super().__init__(f"{message}: {shown}")
         self.witness = witness
 
 
@@ -269,9 +272,9 @@ def _verify_split(S, T, trace: SplitTrace, sign: SignModel) -> None:
 
 
 def positive_witness(expr: RatExpr) -> Optional[Word]:
-    """A shortest non-positive member of the denoted set, or None."""
-    bad = difference(reduced_acceptor(expr), positive_universe())
-    s = shortest_accepted(bad)
+    """The shortest member of the denoted set with an inverse letter, first
+    in shortlex order over the sorted alphabet, or None."""
+    s = shortest_with_inverse(reduced_acceptor(expr))
     return None if s is None else Word(s)
 
 
@@ -400,13 +403,12 @@ def _positivize_star(l1: RatExpr, left: Word, right: Word, depth: int):
         }
 
     acc = reduced_acceptor(l2)
-    bad = difference(acc, positive_universe())
     first = min(2 * acc.n_states, 12)
     windows = range(first, first + 4 * _WINDOW_STEPS, 4)
     last_error: Optional[Exception] = None
     for window in windows:
         try:
-            return _star_conjugate(l2, w, bad, window, acc.n_states, depth)
+            return _star_conjugate(l2, w, acc, window, depth)
         except _RetryWindow as err:
             last_error = err
     raise GaveUp(
@@ -419,29 +421,33 @@ class _RetryWindow(Exception):
     pass
 
 
-def deepest_negative(bad: Acceptor, window: int) -> Optional[tuple[int, ...]]:
-    """Among the strings of length <= window that ``bad`` accepts, the first
-    (by length, then lexicographically over the sorted alphabet) whose last
-    negative syllable has the largest index; None when there is none.
+def deepest_negative(acc: Acceptor, window: int) -> Optional[tuple[int, ...]]:
+    """Among the strings of length <= window that ``acc`` accepts and that
+    have a negative syllable, the first (by length, then lexicographically
+    over the sorted alphabet) whose last negative syllable has the largest
+    index; None when there is none.
 
-    ``bad`` accepts only reduced strings.  A breadth-first search over
+    ``acc`` accepts only reduced strings.  A breadth-first search over
     (states, last letter, syllables so far, index of the last negative
     syllable) keeps only the first prefix to reach each configuration: two
     prefixes with one configuration have the same accepted continuations at
-    the same index, and the earlier prefix's extensions come first."""
-    letters = sorted(bad.alphabet)
+    the same index, and the earlier prefix's extensions come first.  Steps
+    to states from which no final state is reachable are pruned, so the
+    dead configurations do not multiply with the count and the index."""
+    live = live_states(acc)
+    letters = sorted(acc.alphabet)
     best: Optional[tuple[int, tuple[int, ...]]] = None
     seen = set()
-    layer = [(bad.initial, 0, 0, 0, ())]
+    layer = [(acc.initial, 0, 0, 0, ())] if acc.initial & live else []
     for length in range(window + 1):
         nxt = []
         for states, last, syllables, negative, string in layer:
-            if states & bad.finals and (best is None or negative > best[0]):
+            if negative and states & acc.finals and (best is None or negative > best[0]):
                 best = (negative, string)
             if length == window:
                 continue
             for a in letters:
-                stepped = bad.step(states, a)
+                stepped = acc.step(states, a) & live
                 if not stepped:
                     continue
                 count, index = syllables, negative
@@ -457,9 +463,9 @@ def deepest_negative(bad: Acceptor, window: int) -> Optional[tuple[int, ...]]:
     return None if best is None else best[1]
 
 
-def _star_conjugate(l2, w: Word, bad, window: int, n_states: int, depth: int):
+def _star_conjugate(l2, w: Word, acc: Acceptor, window: int, depth: int):
     group = FREE_ZZ
-    s = deepest_negative(bad, window)
+    s = deepest_negative(acc, window)
     if s is None:
         raise _RetryWindow("no negative member found in the window")
     l_word = Word(s)
@@ -486,7 +492,7 @@ def _star_conjugate(l2, w: Word, bad, window: int, n_states: int, depth: int):
     return out, {
         "case": "star-conjugated",
         "window": window,
-        "acceptor_states": n_states,
+        "acceptor_states": acc.n_states,
         "deepest_negative": format_word(l_word),
         "negative_index": i,
         "b0_exponent": -beta,

@@ -1,17 +1,43 @@
-"""Enumeration oracle for the deepest negative member of a star base.
+"""Reference searches for the positivity questions of ``signs``.
 
-Lists every accepted string up to the window and keeps the first one whose
-last negative syllable comes latest — exponential in the window, but with
-no logic shared with the configuration search in ``signs.deepest_negative``.
+``positive_witness_by_difference`` finds the shortest non-positive member
+of a rational subset of F₂ as a shortest string in the difference of its
+acceptor with the one-state acceptor of all positive strings: a product
+with a determinized complement, where ``signs.positive_witness`` searches
+the acceptor alone.
+
+``deepest_negative_by_enumeration`` lists every accepted string up to the
+window and keeps the first one whose last negative syllable comes latest —
+exponential in the window, but with no logic shared with the configuration
+search in ``signs.deepest_negative``.
 """
 from __future__ import annotations
 
 from typing import Optional
 
-from freerat.automata import Acceptor, enumerate_accepted
+from freerat.automata import (
+    Acceptor,
+    difference,
+    enumerate_accepted,
+    reduced_acceptor,
+    shortest_accepted,
+)
 from freerat.freeprod import from_f2
+from freerat.ratexpr import RatExpr
 from freerat.signs import STANDARD_F2_SIGN, last_negative_index
 from freerat.words import Word
+
+
+def positive_universe() -> Acceptor:
+    """All strings over the positive letters 1 and 2 (no inverses): one
+    state, initial and final, with a loop on each letter."""
+    return Acceptor(frozenset((1, 2)), [(1, 1)], 1, 1)
+
+
+def positive_witness_by_difference(expr: RatExpr) -> Optional[Word]:
+    bad = difference(reduced_acceptor(expr), positive_universe())
+    s = shortest_accepted(bad)
+    return None if s is None else Word(s)
 
 
 def deepest_negative_by_enumeration(bad: Acceptor, window: int) -> Optional[tuple[int, ...]]:

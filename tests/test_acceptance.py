@@ -11,12 +11,14 @@ import time
 
 from oracle_enum import enumerate_bounded
 from oracle_refute import refute_by_standard_form
+from oracle_signs import positive_universe
 from oracle_squares import exhaustive_square_gamma_max
 from oracle_verbal import lattice_index
 
 from freerat.automata import (
     enumerate_accepted,
     equivalent,
+    intersect,
     intersect_positive,
     reduced_acceptor,
 )
@@ -420,6 +422,17 @@ def test_c09_refuter_certificates_replay_on_corpus():
         outcomes.add(report.outcome)
     assert outcomes == {"missing-value", "foreign-element", "inconsistent-branch"}
     assert time.perf_counter() - start < 120.0
+
+
+def test_intersect_positive_is_the_product_with_positive_strings_on_corpus():
+    # the refuter's input: the cached DFA restricted to positive letters
+    # accepts what its product with the one-state positive universe does,
+    # and keeps only the states that product reaches
+    for expr in _refuter_corpus():
+        product = intersect(reduced_acceptor(expr), positive_universe())
+        got = intersect_positive(expr)
+        assert equivalent(got, product), format_ratexpr(expr)
+        assert got.n_states == product.n_states
 
 
 def _mixed_sign_tree(rng, depth: int):

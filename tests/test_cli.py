@@ -102,6 +102,17 @@ def test_rat_positive(capsys):
     assert result["witness"] == "x2^-1 x1 x2"
 
 
+def test_rat_positive_counts_only_inverse_letters_as_negative(capsys):
+    # x3 is a positive letter of F3: only an inverse letter makes a member
+    # non-positive, whatever the rank
+    result = run_json(capsys, "rat", "positive", "--expr", "(fin x3)")["result"]
+    assert (result["positive"], result["witness"]) == (True, None)
+    result = run_json(capsys, "rat", "positive", "--expr", "(fin (x1 x3^-1))")["result"]
+    assert (result["positive"], result["witness"]) == (False, "x1 x3^-1")
+    result = run_json(capsys, "sign", "positivize", "--expr", "(fin x3)")["result"]
+    assert result["expression"] == "(fin x3)"
+
+
 def test_rat_enumerate(capsys):
     result = run_json(
         capsys, "rat", "enumerate", "--expr", SQUARES_EXPR, "--cap-len", "4"
@@ -119,6 +130,12 @@ def test_rat_enumerate_is_exact(capsys):
     result = run_json(capsys, "rat", "enumerate", "--expr", text, "--cap-len", "0")["result"]
     assert result["count"] == 1
     assert result["words"] == ["1"]
+
+
+def test_rat_enumerate_refuses_a_negative_cap(capsys):
+    code, out, err = run_cli(capsys, "rat", "enumerate", "--expr", SQUARES_EXPR, "--cap-len", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: --cap-len must be nonnegative, got -1\n"
 
 
 def test_rat_expr_from_file(capsys, tmp_path):
@@ -162,6 +179,12 @@ def test_sign_positivize_product_split_give_up_names_only_the_caps(capsys):
     )
     assert (code, out) == (3, "")
     assert err == "error: no middle element found for the product split within the sample caps 6, 10, 14\n"
+
+
+def test_sign_positivize_not_positive_prints_the_word(capsys):
+    code, out, err = run_cli(capsys, "sign", "positivize", "--expr", "(fin x1^-1)")
+    assert (code, out) == (1, "")
+    assert err == "error: the sandwiched set is not positive: x1^-1\n"
 
 
 def test_gaps_profile_delta_table(capsys):

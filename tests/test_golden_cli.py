@@ -10,6 +10,8 @@ of 1,500 states.
 The ``gaps scan`` cases pin the order of the seeded random draws as well
 as the free-product normal forms of the sampled values; the ``gaps
 profile`` cases include a finite factor where b is its own inverse.
+The ``rat positive`` cases pin the shortest negative member of mixed-sign,
+starred and empty sets and of one 45-leaf expression.
 ``GOLDEN_SCAN_OUT`` pins ``gaps scan --out``: the JSON summary on stdout
 and the CSV file it writes.
 """
@@ -18,6 +20,23 @@ import hashlib
 import pytest
 
 from freerat.cli import main
+
+# 45 leaves: x2⁻¹x1⁻¹ times a tree of 44 positive leaves
+BIG_POSITIVE_PART = (
+    "(prod (fin (x2^-1 x1^-1)) (prod (prod (prod (star (union (star (fin x1)) (fin x1 x2))) (prod "
+    "(star (prod (union (union (fin x2) (fin x1 x1^2)) (fin x1 x2)) (fin x2 (x2 x1)))) (union (union "
+    "(union (union (fin x2^2 (x1 x2 x1)) (fin x1^2)) (fin x2)) (star (fin x1 x2^2))) (star (union "
+    "(star (fin x2)) (prod (fin x2 (x1 x2)) (star (fin x1 x2)))))))) (union (prod (star (prod (star "
+    "(fin (x2 x1) x2^2)) (fin x2^2))) (union (fin x2 (x1 x2 x1)) (union (fin x1 x1^2) (fin x1 (x2 x1 "
+    "x2))))) (union (fin x1^2) (union (fin x1^2) (star (fin x1 (x2^2 x1))))))) (star (prod (union "
+    "(star (union (prod (star (fin x1^2)) (star (union (star (prod (fin x2 (x2 x1^2)) (fin x1 (x1 "
+    "x2)))) (union (union (fin (x2 x1 x2)) (fin x2 (x1 x2 x1))) (union (union (fin x1^2 (x1 x2)) "
+    "(prod (fin x2^2) (fin (x2 x1) (x2 x1 x2)))) (star (fin x1))))))) (star (prod (star (union (fin "
+    "x2 x1^2) (fin x1))) (fin (x2 x1)))))) (union (star (union (fin (x1 x2) (x2 x1)) (fin (x1 x2)))) "
+    "(star (prod (star (prod (star (prod (prod (fin x1^2) (fin x1)) (fin x1 (x2 x1 x2)))) (fin x2 "
+    "x2^3))) (union (fin x1) (star (fin (x2 x1)))))))) (star (prod (fin x1 x2) (prod (star (fin x1)) "
+    "(fin x2))))))))"
+)
 
 GOLDEN = [
     (("refute", "--word", "x1^2", "--expr", "(star (fin (x1 x2)))"),
@@ -122,6 +141,20 @@ GOLDEN = [
      "ab4d49bb813948210094ad5e25a422e87adb0820763c14ca2437cdf14b1cb2eb"),
     (("refute", "--word", "x1^2", "--expr", "(star (fin (x1^-1 x2^1500 x1) x1))"),
      "33be281473d85b7bcfd62f09d61c5dc51d80ea2da2bc0a5b0489a15adde84a6e"),
+    (("rat", "positive", "--expr", "(fin (x1 x2^-1) x2)"),
+     "8ce3b0918be1c6f30e69abe848e68e5321ac355f0608c6f4c275d49b19b3f300"),
+    (("rat", "positive", "--expr", "(star (fin (x2^-1 x1 x2)))"),
+     "813a730384036b41b202dfb153462e6190cdfd2166600a767802aca45417af4e"),
+    (("rat", "positive", "--expr", "(star (union (fin x1 (x2 x1)) (fin x2^2)))"),
+     "90e29733e6fbc9d7c142bfb36635b488f124685424b409951dab46b3b0fb23f4"),
+    (("rat", "positive", "--expr", "(fin)"),
+     "f34be90d3db581407b31a6ad3a436fac75e41ded30cc876d3b660d05414263fa"),
+    (("rat", "positive", "--expr", "(prod (fin) (star (fin x1^-1)))"),
+     "9556cc993ed6ef0b7fe53e5a7858c8e0d4182f10032f862cfebd9da9bc85876a"),
+    (("rat", "positive", "--expr", "(prod (fin (x1^-1 x2^-1)) (star (fin (x2 x1) x1)))"),
+     "4a9d69e854bfd54e981c52ba77d6513ffab79c6647b4be6e80280ff94ae15d6a"),
+    (("rat", "positive", "--expr", BIG_POSITIVE_PART),
+     "d00a0e7a236ae9fc8c103e17d02b9af997958b6bc7133fbbfa124ddceb958681"),
 ]
 
 

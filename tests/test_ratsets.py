@@ -17,7 +17,6 @@ from freerat.automata import (
     is_empty,
     member,
     minimize,
-    positive_universe,
     reduced_acceptor,
     saturate,
     shortest_accepted,
@@ -43,6 +42,7 @@ from freerat.words import IDENTITY, Word, generator, parse_word, substitute
 from oracle_enum import enumerate_bounded
 from oracle_refute import Summand, standard_form
 from oracle_saturate import acceptor_to_json
+from oracle_signs import positive_universe
 
 x1 = generator(1)
 x2 = generator(2)

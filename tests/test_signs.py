@@ -3,9 +3,14 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracle_signs import deepest_negative_by_enumeration
+from oracle_signs import (
+    deepest_negative_by_enumeration,
+    positive_universe,
+    positive_witness_by_difference,
+)
 
-from freerat.automata import difference, equivalent, positive_universe, reduced_acceptor
+from freerat import signs
+from freerat.automata import difference, equivalent, reduced_acceptor
 from freerat.freeprod import FreeProduct, FREE_ZZ
 from freerat.ratexpr import (
     Finite,
@@ -155,6 +160,7 @@ def test_split_precondition_reports_pair():
         split_product([el(("a", -1))], [el(("b", 1))], SIG)
     s, t = exc.value.witness
     assert not is_positive(s * t, SIG)
+    assert str(exc.value) == "S·T has a non-positive product: (a^-1, b)"
 
 
 def test_split_rejects_empty_sides():
@@ -256,6 +262,78 @@ def test_positive_witness_examples():
     assert w == parse_word("x2^-1 x1 x2")
 
 
+def _mixed_sign_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        words = set()
+        for _ in range(rng.randint(1, 3)):
+            letters = []
+            for _ in range(rng.randint(0, 4)):
+                a = rng.choice((1, -1, 2, -2))
+                if not letters or a != -letters[-1]:
+                    letters.append(a)
+            words.add(Word(letters))
+        return Finite(words)
+    kind = rng.choice(("union", "prod", "prod", "star"))
+    if kind == "star":
+        return Star(_mixed_sign_tree(rng, depth - 1))
+    cls = Union if kind == "union" else Product
+    return cls(_mixed_sign_tree(rng, depth - 1), _mixed_sign_tree(rng, depth - 1))
+
+
+def test_positive_witness_matches_the_difference_search_on_mixed_sign_trees():
+    rng = random.Random(1313)
+    answers = set()
+    for _ in range(320):
+        expr = _mixed_sign_tree(rng, rng.randint(1, 4))
+        got = positive_witness(expr)
+        assert got == positive_witness_by_difference(expr), expr
+        answers.add(got is None)
+    assert answers == {True, False}
+
+
+def _benchmark_positivize_shapes():
+    """Instances of the five positivize shapes of the benchmark:
+    (expression, left, right)."""
+    rng = random.Random(1317)
+    pool = [parse_word(t) for t in ("x1", "x2", "x1 x2", "x2 x1", "x1^2", "x2^2")]
+    conj = pool[:4] + [parse_word(t) for t in ("x1^-1", "x2^-1", "x2^-1 x1")]
+    out = []
+    for _ in range(6):
+        g = rng.choice(conj)
+        out.append((conjugate_expr(_random_positive_expr(rng, 2), g), g, g.inv()))
+        c = rng.choice(conj)
+        core = Finite([c.inv() * rng.choice(pool) * c])
+        out.append((Product(Product(Finite([c]), Star(core)), Finite([c.inv()])), IDENTITY, IDENTITY))
+        m = rng.choice(pool)
+        a = Finite([x * m.inv() for x in rng.sample(pool, 2)])
+        b = Finite([m * x for x in rng.sample(pool, 2)])
+        out.append((Product(a, b), IDENTITY, IDENTITY))
+        a = Product(Star(Finite([rng.choice(pool)])), Finite([rng.choice(pool) * m.inv()]))
+        b = Product(Finite([m * rng.choice(pool)]), Star(Finite([rng.choice(pool)])))
+        out.append((Product(a, b), IDENTITY, IDENTITY))
+    for s, c in (("x2", "x1"), ("x2", "x2 x1"), ("x1", "x2"), ("x1", "x1 x2")):
+        s, c = parse_word(s), parse_word(c)
+        prefix = Word([rng.choice((1, 2)) for _ in range(rng.randint(0, 3))])
+        out.append((Star(Finite([c.inv() * s * c])), prefix * c, IDENTITY))
+    return out
+
+
+def test_positive_witness_matches_the_difference_search_inside_positivize(monkeypatch):
+    # every positivity question the benchmark's shapes ask on the way
+    asked = []
+
+    def checked(expr):
+        got = positive_witness(expr)
+        assert got == positive_witness_by_difference(expr), expr
+        asked.append(got is None)
+        return got
+
+    monkeypatch.setattr(signs, "positive_witness", checked)
+    cases = {positivize(*shape).trace["case"] for shape in _benchmark_positivize_shapes()}
+    assert {"product", "star-conjugated"} <= cases
+    assert set(asked) == {True, False}
+
+
 def _sandwich_expr(left, expr, right):
     out = expr
     if right != IDENTITY:
@@ -335,23 +413,25 @@ def _star_bases():
     # prefixes here share state, last letter and negative index but not
     # their syllable count, so the count must stay in the configuration
     bases.append(Product(Star(finite("x1", "x2 x1")), finite("x2^-1", "x1^2")))
+    # a positive member shorter than every negative one: below length 3
+    # the answer is None
+    bases.append(finite("x1", "x2^2 x1^-1"))
     return bases
 
 
 @pytest.mark.parametrize("base", _star_bases(), ids=str)
 def test_deepest_negative_matches_enumeration(base):
-    bad = _bad(base)
+    acc, bad = reduced_acceptor(base), _bad(base)
     for window in range(9):
-        assert deepest_negative(bad, window) == deepest_negative_by_enumeration(bad, window)
+        assert deepest_negative(acc, window) == deepest_negative_by_enumeration(bad, window)
 
 
 def test_deepest_negative_matches_enumeration_at_full_window():
     base = finite("x1^-1 x2 x1")
     acc = reduced_acceptor(base)
     assert acc.n_states == 5
-    bad = _bad(base)
     window = min(2 * acc.n_states, 12)
-    assert deepest_negative(bad, window) == deepest_negative_by_enumeration(bad, window)
+    assert deepest_negative(acc, window) == deepest_negative_by_enumeration(_bad(base), window)
 
 
 def test_positivize_union_inside_star():
