@@ -5,9 +5,9 @@
 reduced forms of its set: a Thompson construction with one-letter edges,
 silent edges added to a fixpoint for every cancelling pattern
 p --ℓ--> r ~~ε~~> s --ℓ⁻¹--> q (Benois), then restriction to freely
-reduced strings.  Membership, Boolean operations, emptiness and
-enumeration are then ordinary automaton algorithms, and :func:`minimize`
-gives the minimal DFA of a language.
+reduced strings.  Membership, emptiness and enumeration are then
+ordinary automaton algorithms on its DFA, and :func:`minimize` gives the
+minimal DFA of a language, on which :func:`equivalent` compares two.
 """
 from __future__ import annotations
 
@@ -280,13 +280,15 @@ def _restrict_reduced(
     return Acceptor(alphabet, [rows[j] for j in range(len(pairs))], 1, out_finals)
 
 
-# -- determinization and Boolean operations --------------------------------
+# -- determinization and search --------------------------------------------
 
 
 def determinize(acc: Acceptor) -> Acceptor:
     """Complete DFA over acc.alphabet; the empty set, once reached, is its
     dead state.  States are numbered in the order a last-in first-out
-    worklist finds them, visiting letters in ``acc.letters`` order."""
+    worklist finds them, visiting letters in ``acc.letters`` order.  Every
+    state is reachable, so the language is empty exactly when ``finals``
+    is 0."""
     ids: dict[int, int] = {acc.initial: 0}
     rows: dict[int, list[int]] = {}
     work = [acc.initial]
@@ -306,54 +308,6 @@ def determinize(acc: Acceptor) -> Acceptor:
     return Acceptor(
         acc.alphabet, [tuple(unit[j] for j in rows[i]) for i in range(len(ids))], 1, finals
     )
-
-
-def intersect(a: Acceptor, b: Acceptor) -> Acceptor:
-    alphabet = a.alphabet | b.alphabet
-    letters = tuple(alphabet)
-    in_a = [a.position.get(x) for x in letters]
-    in_b = [b.position.get(x) for x in letters]
-    start = (a.initial, b.initial)
-    ids: dict[tuple[int, int], int] = {start: 0}
-    rows: dict[int, list[int]] = {}
-    work = [start]
-    seen = set()
-    while work:
-        pair = work.pop()
-        if pair in seen:
-            continue
-        seen.add(pair)
-        next_a, next_b = a.successors(pair[0]), b.successors(pair[1])
-        row = rows[ids[pair]] = []
-        for i, j in zip(in_a, in_b):
-            na = 0 if i is None else next_a[i]
-            nb = 0 if j is None else next_b[j]
-            if not na or not nb:
-                row.append(-1)
-                continue
-            row.append(ids.setdefault((na, nb), len(ids)))
-            if (na, nb) not in seen:
-                work.append((na, nb))
-    finals = sum(1 << i for (pa, pb), i in ids.items() if pa & a.finals and pb & b.finals)
-    unit = [1 << i for i in range(len(ids))]
-    table = [tuple(0 if j < 0 else unit[j] for j in rows[i]) for i in range(len(ids))]
-    return Acceptor(alphabet, table, 1, finals)
-
-
-def complement_reduced(acc: Acceptor) -> Acceptor:
-    """Reduced strings not accepted by acc."""
-    dfa = determinize(acc)
-    every = (1 << dfa.n_states) - 1
-    return _restrict_reduced(dfa.alphabet, dfa.table, 0, every & ~dfa.finals)
-
-
-def difference(a: Acceptor, b: Acceptor) -> Acceptor:
-    if a.alphabet - b.alphabet:
-        alphabet = a.alphabet | b.alphabet
-        where = [b.position.get(x) for x in alphabet]
-        table = [tuple(0 if i is None else row[i] for i in where) for row in b.table]
-        b = Acceptor(alphabet, table, b.initial, b.finals)
-    return intersect(a, complement_reduced(b))
 
 
 def shortest_accepted(acc: Acceptor) -> Optional[tuple[int, ...]]:
@@ -395,14 +349,6 @@ def shortest_with_inverse(acc: Acceptor) -> Optional[tuple[int, ...]]:
                 seen.add(key)
                 queue.append((*key, string + (a,)))
     return None
-
-
-def is_empty(acc: Acceptor) -> bool:
-    return shortest_accepted(acc) is None
-
-
-def equivalent(a: Acceptor, b: Acceptor) -> bool:
-    return is_empty(difference(a, b)) and is_empty(difference(b, a))
 
 
 def live_states(acc: Acceptor) -> int:
@@ -512,6 +458,13 @@ def minimize(acc: Acceptor) -> Acceptor:
         rows.append(tuple(row))
     out_finals = sum(1 << j for b, j in ids.items() if blocks[b] & finals)
     return Acceptor(acc.alphabet, rows, 1 if ids else 0, out_finals)
+
+
+def equivalent(a: Acceptor, b: Acceptor) -> bool:
+    """Whether two DFAs accept the same strings, whatever their alphabets:
+    their minimal DFAs, numbered by the language alone, coincide."""
+    x, y = minimize(a), minimize(b)
+    return x.finals == y.finals and set(x.transitions()) == set(y.transitions())
 
 
 # -- expression-level membership -------------------------------------------

@@ -2,7 +2,9 @@
 
 
 class GaveUp(RuntimeError):
-    """A search stopped at its budget, window or depth cap without an answer.
+    """A computation stopped without an answer: a search reached its budget,
+    sample cap or depth cap, or a construction met no element it can use.
 
-    The input may still have one; a larger limit might find it.  Other
+    The input may still have one; a larger limit or another construction
+    might find it.  Other
     ``RuntimeError``s are internal consistency checks that failed."""

@@ -25,6 +25,7 @@ from freerat.freeprod import (
     fp_substitute,
     support,
 )
+from freerat.signs import is_positive, standard_sign
 from freerat.words import MAX_WORD_LETTERS, Word, WordClass, classify, exponent_gcd
 
 
@@ -277,11 +278,10 @@ def unbounded_family(
     b is the smallest syllable occurring in the cyclic form of u but not
     in that of v; each appended vᵏ block contributes a fresh b-gap length,
     so γ grows without bound while every member stays positive."""
-    group = u.group
-    sign_ok = all(
-        all(_syllable_nonneg(group, s) for s in x.syllables) for x in (p, u, v, q)
-    )
-    if not sign_ok:
+    if n_max < 1:
+        raise ValueError(f"n_max (--n) must be >= 1, got {n_max}")
+    sign = standard_sign(u.group)
+    if not all(is_positive(x, sign) for x in (p, u, v, q)):
         raise ValueError("family inputs must be positive")
     if len(cyclic_form(v)) < 2:
         raise ValueError("v must have cyclic syllable length at least 2")
@@ -298,11 +298,3 @@ def unbounded_family(
         members.append(member)
         gammas.append(gamma(member, b, e))
     return FamilyReport(b, e, tuple(members), tuple(gammas))
-
-
-def _syllable_nonneg(group: FreeProduct, s: Syllable) -> bool:
-    fid, exp = s
-    factor = group.factors[fid]
-    if factor.modulus is None:
-        return exp >= 0
-    return True

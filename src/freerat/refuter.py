@@ -376,6 +376,14 @@ def refute(
     values of w.  Requires exponent gcd >= 2 (proper words): gcd 0 needs
     commutator-width methods and gcd 1 words take every element as a value.
     """
+    # each limit is named with its ``refute`` flag
+    for name, flag, value, low in (
+        ("enum_cap", "--enum-cap", enum_cap, 0),
+        ("probe_depth", "--probe-depth", probe_depth, 2),
+        ("foreign_cap", "--foreign-cap", foreign_cap, 0),
+    ):
+        if value < low:
+            raise ValueError(f"{name} ({flag}) must be >= {low}, got {value}")
     cls = classify(w)
     if cls in (WordClass.TRIVIAL, WordClass.COMMUTATOR):
         raise ValueError(

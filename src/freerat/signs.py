@@ -21,7 +21,6 @@ from typing import Iterable, Optional
 from freerat.automata import (
     Acceptor,
     enumerate_accepted,
-    is_empty,
     live_states,
     reduced_acceptor,
     shortest_with_inverse,
@@ -297,7 +296,6 @@ class Positivized:
 
 
 _ENUM_STEPS = (6, 10, 14)
-_WINDOW_STEPS = 3
 _RECURSION_CAP = 48  # levels of positivization recursion
 
 
@@ -345,11 +343,27 @@ def _positivize(expr: RatExpr, left: Word, right: Word, depth: int):
     raise TypeError(f"not a RatExpr: {expr!r}")
 
 
+def _require_f2(step: str, acc: Acceptor, w: Word = IDENTITY) -> None:
+    """Refuse, at a step that reads members as elements of ℤ∗ℤ, a set whose
+    members, or a coefficient w, use a third generator.  Only letters on
+    edges into live states count: a leaf letter that always cancels does
+    not."""
+    rank = w.max_generator()
+    if max(acc.alphabet) > 2:
+        live = live_states(acc)
+        used = (abs(a) for _, a, q in acc.transitions() if live >> q & 1)
+        rank = max(rank, max(used, default=0))
+    if rank > 2:
+        raise ValueError(f"{step} is defined over F2, got rank {rank}")
+
+
 def _positivize_product(l1: RatExpr, l2: RatExpr, left: Word, right: Word, depth: int):
-    if is_empty(reduced_acceptor(l1)) or is_empty(reduced_acceptor(l2)):
+    if not reduced_acceptor(l1).finals or not reduced_acceptor(l2).finals:
         return EMPTY, {"case": "empty-product"}
     s_acc = reduced_acceptor(_sandwich(left, l1, IDENTITY))
     t_acc = reduced_acceptor(_sandwich(IDENTITY, l2, right))
+    _require_f2("the product split", s_acc)
+    _require_f2("the product split", t_acc)
     last_error: Optional[Exception] = None
     for cap in _ENUM_STEPS:
         s_words = [Word(s) for s in enumerate_accepted(s_acc, cap)]
@@ -402,28 +416,12 @@ def _positivize_star(l1: RatExpr, left: Word, right: Word, depth: int):
             "child": t_in,
         }
 
-    acc = reduced_acceptor(l2)
-    first = min(2 * acc.n_states, 12)
-    windows = range(first, first + 4 * _WINDOW_STEPS, 4)
-    last_error: Optional[Exception] = None
-    for window in windows:
-        try:
-            return _star_conjugate(l2, w, acc, window, depth)
-        except _RetryWindow as err:
-            last_error = err
-    raise GaveUp(
-        f"no conforming deepest negative member within the last search window "
-        f"of {windows[-1]} letters ({last_error})"
-    )
+    return _star_conjugate(l2, w, depth)
 
 
-class _RetryWindow(Exception):
-    pass
-
-
-def deepest_negative(acc: Acceptor, window: int) -> Optional[tuple[int, ...]]:
-    """Among the strings of length <= window that ``acc`` accepts and that
-    have a negative syllable, the first (by length, then lexicographically
+def deepest_negative(acc: Acceptor, bound: int) -> Optional[tuple[int, ...]]:
+    """Among the accepted strings that have a negative syllable but none
+    past syllable ``bound``, the first (by length, then lexicographically
     over the sorted alphabet) whose last negative syllable has the largest
     index; None when there is none.
 
@@ -431,30 +429,33 @@ def deepest_negative(acc: Acceptor, window: int) -> Optional[tuple[int, ...]]:
     (states, last letter, syllables so far, index of the last negative
     syllable) keeps only the first prefix to reach each configuration: two
     prefixes with one configuration have the same accepted continuations at
-    the same index, and the earlier prefix's extensions come first.  Steps
-    to states from which no final state is reachable are pruned, so the
-    dead configurations do not multiply with the count and the index."""
+    the same index, and the earlier prefix's extensions come first.  A step
+    that would start a negative syllable past ``bound`` is dropped, so the
+    count is kept only up to bound + 1; the configurations are then
+    finite, and the search runs until no new one turns up.  Steps to
+    states from which no final state is reachable are pruned, so the dead
+    configurations do not multiply with the count and the index."""
     live = live_states(acc)
     letters = sorted(acc.alphabet)
     best: Optional[tuple[int, tuple[int, ...]]] = None
     seen = set()
     layer = [(acc.initial, 0, 0, 0, ())] if acc.initial & live else []
-    for length in range(window + 1):
+    while layer:
         nxt = []
         for states, last, syllables, negative, string in layer:
             if negative and states & acc.finals and (best is None or negative > best[0]):
                 best = (negative, string)
-            if length == window:
-                continue
             for a in letters:
                 stepped = acc.step(states, a) & live
                 if not stepped:
                     continue
                 count, index = syllables, negative
                 if abs(a) != abs(last):
-                    count += 1
                     if a < 0:
-                        index = count
+                        if count >= bound:
+                            continue
+                        index = count + 1
+                    count = min(count + 1, bound + 1)
                 config = (stepped, a, count, index)
                 if config not in seen:
                     seen.add(config)
@@ -463,11 +464,17 @@ def deepest_negative(acc: Acceptor, window: int) -> Optional[tuple[int, ...]]:
     return None if best is None else best[1]
 
 
-def _star_conjugate(l2, w: Word, acc: Acceptor, window: int, depth: int):
+def _star_conjugate(l2, w: Word, depth: int):
+    """Positivize w·L₂* when L₂ has a negative member: conjugate the star
+    base by the deepest one.  Since w·l is positive for every l in L₂, no
+    member of L₂ has a negative syllable past the syllable length of w,
+    which bounds the search."""
+    acc = reduced_acceptor(l2)
+    _require_f2("the star conjugation", acc, w)
     group = FREE_ZZ
-    s = deepest_negative(acc, window)
-    if s is None:
-        raise _RetryWindow("no negative member found in the window")
+    s = deepest_negative(acc, len(from_f2(w)))
+    # L₂ has a negative member, and none past the bound
+    assert s is not None
     l_word = Word(s)
     lf = from_f2(l_word)
     i = last_negative_index(lf, STANDARD_F2_SIGN)
@@ -475,23 +482,28 @@ def _star_conjugate(l2, w: Word, acc: Acceptor, window: int, depth: int):
     # the positive suffix shared by every member: (l₁…l_{i−1})⁻¹
     sigma = group.element((f, -k) for f, k in reversed(lf.syllables[: i - 1]))
     if not is_positive(sigma, STANDARD_F2_SIGN):
-        raise _RetryWindow("shared suffix of the candidate is not positive")
+        raise GaveUp(
+            "no conforming deepest negative member: shared suffix of the candidate is not positive"
+        )
     b0 = group.syllable(factor_id, -beta)
     r = b0 * sigma
     r_word = to_f2(r)
     w_front = w * r_word.inv()
     if not w_front.is_positive():
-        raise _RetryWindow("front coefficient w·r⁻¹ is not positive")
+        raise GaveUp(
+            "no conforming deepest negative member: front coefficient w·r⁻¹ is not positive"
+        )
     l3 = conjugate_expr(l2, r_word.inv())  # denotes r·L₂·r⁻¹
     if positive_witness(l3) is not None:
-        raise _RetryWindow("conjugated star base is not positive")
+        raise GaveUp(
+            "no conforming deepest negative member: conjugated star base is not positive"
+        )
     inner, t_in = _positivize(l3, IDENTITY, IDENTITY, depth - 1)
     out = Product(Star(inner), Finite([r_word]))
     if w_front != IDENTITY:
         out = Product(Finite([w_front]), out)
     return out, {
         "case": "star-conjugated",
-        "window": window,
         "acceptor_states": acc.n_states,
         "deepest_negative": format_word(l_word),
         "negative_index": i,

@@ -7,21 +7,18 @@ with a determinized complement, where ``signs.positive_witness`` searches
 the acceptor alone.
 
 ``deepest_negative_by_enumeration`` lists every accepted string up to the
-window and keeps the first one whose last negative syllable comes latest —
-exponential in the window, but with no logic shared with the configuration
-search in ``signs.deepest_negative``.
+window and keeps the first one whose last negative syllable comes latest,
+skipping those with a negative syllable past the bound — exponential in
+the window, but with no logic shared with the configuration search in
+``signs.deepest_negative``.
 """
 from __future__ import annotations
 
 from typing import Optional
 
-from freerat.automata import (
-    Acceptor,
-    difference,
-    enumerate_accepted,
-    reduced_acceptor,
-    shortest_accepted,
-)
+from oracle_boolean import difference
+
+from freerat.automata import Acceptor, enumerate_accepted, reduced_acceptor, shortest_accepted
 from freerat.freeprod import from_f2
 from freerat.ratexpr import RatExpr
 from freerat.signs import STANDARD_F2_SIGN, last_negative_index
@@ -40,10 +37,12 @@ def positive_witness_by_difference(expr: RatExpr) -> Optional[Word]:
     return None if s is None else Word(s)
 
 
-def deepest_negative_by_enumeration(bad: Acceptor, window: int) -> Optional[tuple[int, ...]]:
+def deepest_negative_by_enumeration(
+    bad: Acceptor, window: int, bound: int
+) -> Optional[tuple[int, ...]]:
     best = None  # (index, string)
     for s in enumerate_accepted(bad, window):
         idx = last_negative_index(from_f2(Word(s)), STANDARD_F2_SIGN)
-        if best is None or idx > best[0]:
+        if idx <= bound and (best is None or idx > best[0]):
             best = (idx, s)
     return None if best is None else best[1]

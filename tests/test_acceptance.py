@@ -9,6 +9,7 @@ import json
 import random
 import time
 
+from oracle_boolean import intersect
 from oracle_enum import enumerate_bounded
 from oracle_refute import refute_by_standard_form
 from oracle_signs import positive_universe
@@ -18,7 +19,6 @@ from oracle_verbal import lattice_index
 from freerat.automata import (
     enumerate_accepted,
     equivalent,
-    intersect,
     intersect_positive,
     reduced_acceptor,
 )

@@ -187,6 +187,37 @@ def test_sign_positivize_not_positive_prints_the_word(capsys):
     assert err == "error: the sandwiched set is not positive: x1^-1\n"
 
 
+def test_sign_positivize_refuses_rank_3_only_at_the_f2_steps(capsys):
+    for step, expr, left in (
+        ("product split", "(prod (fin x3) (fin x1))", "1"),
+        ("star conjugation", "(star (fin (x3^-1 x2 x3)))", "x3"),
+    ):
+        code, out, err = run_cli(capsys, "sign", "positivize", "--expr", expr, "--left", left)
+        assert (code, out) == (1, "")
+        assert err == f"error: the {step} is defined over F2, got rank 3\n"
+    # a rank-3 star with a positive base needs neither step
+    result = run_json(capsys, "sign", "positivize", "--expr", "(star (fin x3 (x1 x3)))")["result"]
+    assert result["trace"]["case"] == "star-positive"
+    # x3 cancels: the split reads members of F2 only
+    result = run_json(
+        capsys, "sign", "positivize", "--expr", "(prod (fin (x3 x1)) (fin x2))", "--left", "x3^-1"
+    )["result"]
+    assert result["expression"] == "(prod (fin x1) (fin x2))"
+
+
+def test_sign_positivize_star_give_up_is_one_line(capsys):
+    # members sharing the deepest negative index differ in exponent there,
+    # so the shortest one's conjugator leaves a negative base
+    code, out, err = run_cli(
+        capsys,
+        "sign", "positivize",
+        "--expr", "(star (union (fin (x2^-1 x1 x2^2) (x2^-2 x1 x2^4)) (fin x2^2)))",
+        "--left", "x2^2",
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: no conforming deepest negative member: conjugated star base is not positive\n"
+
+
 def test_gaps_profile_delta_table(capsys):
     result = run_json(capsys, "gaps", "profile", "--u", "b a b", "--b", "b^1")["result"]
     assert result["table"] == {"1": [1, 0]}
@@ -200,6 +231,13 @@ def test_gaps_family(capsys):
     )["result"]
     assert result["gammas"] == [1, 3, 3, 5]
     assert len(result["members"]) == 4
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_gaps_family_refuses_an_empty_family(capsys, n):
+    code, out, err = run_cli(capsys, "gaps", "family", "--u", "a b^2", "--v", "a b", "--n", n)
+    assert (code, out) == (1, "")
+    assert err == f"error: n_max (--n) must be >= 1, got {n}\n"
 
 
 def test_verbal_enum(capsys):
@@ -337,6 +375,22 @@ def test_refute_missing_value_stdout(capsys):
     assert result["replayed"] is True
     assert result["exact"] is True
     assert result["witness"] == " ".join(["x1^2 x2"] * 8)
+
+
+@pytest.mark.parametrize(
+    "flag,value,name,low,expr",
+    [
+        # the default cap answers this one exactly (foreign-element)
+        ("--enum-cap", "-1", "enum_cap", 0, "(star (fin x1 x2))"),
+        ("--foreign-cap", "-1", "foreign_cap", 0, "(star (fin x1 x2))"),
+        # no looping component, so the probe depth would never be read
+        ("--probe-depth", "1", "probe_depth", 2, "(fin x1^2)"),
+    ],
+)
+def test_refute_refuses_out_of_range_limits(capsys, flag, value, name, low, expr):
+    code, out, err = run_cli(capsys, "refute", "--word", "x1^2", "--expr", expr, flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"error: {name} ({flag}) must be >= {low}, got {value}\n"
 
 
 def test_refute_long_finite_leaf(capsys):

@@ -7,14 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from freerat.automata import (
     Acceptor,
-    complement_reduced,
     determinize,
-    difference,
     enumerate_accepted,
     equivalent,
-    intersect,
     intersect_positive,
-    is_empty,
     member,
     minimize,
     reduced_acceptor,
@@ -39,9 +35,17 @@ from freerat.ratexpr import (
 )
 from freerat.words import IDENTITY, Word, generator, parse_word, substitute
 
+from oracle_boolean import (
+    complement_reduced,
+    difference,
+    equivalent_by_difference,
+    intersect,
+    is_empty,
+)
 from oracle_enum import enumerate_bounded
 from oracle_refute import Summand, standard_form
 from oracle_saturate import acceptor_to_json
+from test_saturate_oracle import CORPUS as SATURATE_CORPUS
 from oracle_signs import positive_universe
 
 x1 = generator(1)
@@ -426,6 +430,52 @@ def test_difference_and_equivalence():
 def test_positive_universe_intersection():
     acc = intersect(reduced_acceptor(Star(finite("x1"))), positive_universe())
     assert strings(acc, 3) == {(), (1,), (1, 1), (1, 1, 1)}
+
+
+def _equivalence_pairs():
+    """Pairs of expressions, equal in language or not: each of a pool of
+    expressions against its same-language rewrites, against itself with
+    one short word added, and against the next one in the pool."""
+    rng = random.Random(1414)
+    pool = list(SATURATE_CORPUS)
+    pool += [random_expr(rng, rng.randint(1, 3)) for _ in range(400)]
+    words = [parse_word(t) for t in ("1", "x1", "x2^-1", "x1 x2", "x2 x1^-1")]
+    pairs = []
+    for e, other in zip(pool, pool[1:] + pool[:1]):
+        pairs += [
+            (e, Union(e, e)),
+            (e, Product(e, EPSILON)),
+            (Product(Star(e), Star(e)), Star(e)),
+            (e, Union(e, Finite([rng.choice(words)]))),
+            (e, other),
+        ]
+    # leaves over x3 that cancel: a rank-3 alphabet against a rank-2 one
+    pairs += [
+        (Product(finite("x1 x3"), finite("x3^-1 x2")), finite("x1 x2")),
+        (Product(Star(finite("x3")), finite("x3^-1")), Union(finite("x3^-1"), Star(finite("x3")))),
+        (Product(finite("x3"), finite("x3^-1")), EPSILON),
+        (Product(finite("x3"), finite("x3^-1 x1")), finite("x1", "x2")),
+    ]
+    # the empty language
+    pairs += [
+        (EMPTY, EMPTY),
+        (EMPTY, Product(Star(finite("x1")), EMPTY)),
+        (EMPTY, EPSILON),
+        (Star(EMPTY), EPSILON),
+        (finite("x1"), Union(EMPTY, finite("x1"))),
+    ]
+    return pairs
+
+
+def test_equivalent_matches_the_difference_search():
+    outcomes = []
+    for a, b in _equivalence_pairs():
+        dfa_a, dfa_b = reduced_acceptor(a), reduced_acceptor(b)
+        got = equivalent(dfa_a, dfa_b)
+        assert got == equivalent_by_difference(dfa_a, dfa_b), (format_ratexpr(a), format_ratexpr(b))
+        outcomes.append(got)
+    assert len(outcomes) >= 2000
+    assert outcomes.count(True) >= 1000 and outcomes.count(False) >= 300
 
 
 # -- positive intersection over F2 -----------------------------------------
