@@ -353,23 +353,29 @@ def shortest_with_inverse(acc: Acceptor) -> Optional[tuple[int, ...]]:
 
 def live_states(acc: Acceptor) -> int:
     """Mask of the live states: those from which some final state is
+    reachable."""
+    return reaching(acc, acc.finals)
+
+
+def reaching(acc: Acceptor, targets: int) -> int:
+    """Mask of the states from which some state of the mask ``targets`` is
     reachable.  One backward search over a reverse-edge index, linear in
     the number of transitions."""
     preds: list[list[int]] = [[] for _ in range(acc.n_states)]
     for p, row in enumerate(acc.table):
-        targets = 0
+        successors = 0
         for mask in row:
-            targets |= mask
-        for q in _bits(targets):
+            successors |= mask
+        for q in _bits(successors):
             preds[q].append(p)
-    live = acc.finals
-    work = list(_bits(live))
+    found = targets
+    work = list(_bits(found))
     while work:
         for p in preds[work.pop()]:
-            if not live >> p & 1:
-                live |= 1 << p
+            if not found >> p & 1:
+                found |= 1 << p
                 work.append(p)
-    return live
+    return found
 
 
 def enumerate_accepted(acc: Acceptor, max_len: int) -> Iterator[tuple[int, ...]]:

@@ -16,12 +16,13 @@ inclusion exactly on saturated acceptors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NoReturn, Optional
 
 from freerat.automata import (
     Acceptor,
     enumerate_accepted,
     live_states,
+    reaching,
     reduced_acceptor,
     shortest_with_inverse,
 )
@@ -434,8 +435,17 @@ def deepest_negative(acc: Acceptor, bound: int) -> Optional[tuple[int, ...]]:
     count is kept only up to bound + 1; the configurations are then
     finite, and the search runs until no new one turns up.  Steps to
     states from which no final state is reachable are pruned, so the dead
-    configurations do not multiply with the count and the index."""
+    configurations do not multiply with the count and the index.  Once no
+    inverse letter can follow on the way to a final state, no negative
+    syllable can start, so the count is set to bound + 1 at once: a
+    positive loop then costs a number of configurations fixed by the DFA,
+    not by the bound."""
     live = live_states(acc)
+    inverse_edge = 0
+    for p, row in enumerate(acc.table):
+        if any(a < 0 and mask & live for a, mask in zip(acc.letters, row)):
+            inverse_edge |= 1 << p
+    inverse_ahead = reaching(acc, inverse_edge)
     letters = sorted(acc.alphabet)
     best: Optional[tuple[int, tuple[int, ...]]] = None
     seen = set()
@@ -456,12 +466,18 @@ def deepest_negative(acc: Acceptor, bound: int) -> Optional[tuple[int, ...]]:
                             continue
                         index = count + 1
                     count = min(count + 1, bound + 1)
+                if not stepped & inverse_ahead:
+                    count = bound + 1
                 config = (stepped, a, count, index)
                 if config not in seen:
                     seen.add(config)
                     nxt.append((stepped, a, count, index, string + (a,)))
         layer = nxt
     return None if best is None else best[1]
+
+
+def _no_conforming(failed: str) -> NoReturn:
+    raise GaveUp(f"no conforming deepest negative member: {failed}")
 
 
 def _star_conjugate(l2, w: Word, depth: int):
@@ -482,22 +498,16 @@ def _star_conjugate(l2, w: Word, depth: int):
     # the positive suffix shared by every member: (l₁…l_{i−1})⁻¹
     sigma = group.element((f, -k) for f, k in reversed(lf.syllables[: i - 1]))
     if not is_positive(sigma, STANDARD_F2_SIGN):
-        raise GaveUp(
-            "no conforming deepest negative member: shared suffix of the candidate is not positive"
-        )
+        _no_conforming("shared suffix of the candidate is not positive")
     b0 = group.syllable(factor_id, -beta)
     r = b0 * sigma
     r_word = to_f2(r)
     w_front = w * r_word.inv()
     if not w_front.is_positive():
-        raise GaveUp(
-            "no conforming deepest negative member: front coefficient w·r⁻¹ is not positive"
-        )
+        _no_conforming("front coefficient w·r⁻¹ is not positive")
     l3 = conjugate_expr(l2, r_word.inv())  # denotes r·L₂·r⁻¹
     if positive_witness(l3) is not None:
-        raise GaveUp(
-            "no conforming deepest negative member: conjugated star base is not positive"
-        )
+        _no_conforming("conjugated star base is not positive")
     inner, t_in = _positivize(l3, IDENTITY, IDENTITY, depth - 1)
     out = Product(Star(inner), Finite([r_word]))
     if w_front != IDENTITY:

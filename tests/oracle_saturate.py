@@ -7,12 +7,15 @@ closure as a Python set until no letter edge adds a silent edge; and
 acceptors are dicts from (state, letter) to frozensets of states.  It
 shares no automaton code with the library, so a test can compare the two
 compiled DFAs transition by transition (``acceptor_to_json`` writes the
-library's DFA in the oracle's form).
+library's DFA in the oracle's form).  ``CORPUS`` is a seeded list of
+expressions shared by the tests that compare compiled DFAs.
 """
 from __future__ import annotations
 
+import random
+
 from freerat.ratexpr import Finite, Product, RatExpr, Star, Union, max_rank
-from freerat.words import IDENTITY
+from freerat.words import IDENTITY, Word
 
 
 def thompson(expr: RatExpr):
@@ -178,3 +181,61 @@ def acceptor_to_json(acc) -> dict:
         "terminals": [s for s in range(acc.n_states) if acc.finals >> s & 1],
         "transitions": sorted([p, a, q] for p, a, q in acc.transitions()),
     }
+
+
+# -- a seeded corpus of expressions ----------------------------------------
+LETTERS = (1, -1, 2, -2)
+
+
+def _leaf_word(rng, length: int, letters=LETTERS) -> Word:
+    out: list[int] = []
+    while len(out) < length:
+        a = rng.choice(letters)
+        if not out or a != -out[-1]:
+            out.append(a)
+    return Word(out)
+
+
+def _membership_shape(rng, leaves: int, depth: int) -> RatExpr:
+    # the benchmark's membership expressions: a fixed leaf count, depth <= 10
+    if leaves == 1:
+        node = Finite({_leaf_word(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 2))})
+    else:
+        room = 2 ** (depth - 1)
+        k = rng.randint(max(1, leaves - room), min(leaves - 1, room))
+        cls = Union if rng.random() < 0.6 else Product
+        node = cls(_membership_shape(rng, k, depth - 1), _membership_shape(rng, leaves - k, depth - 1))
+    if depth > 0 and rng.random() < 0.25:
+        return Star(node)
+    return node
+
+
+def _mixed_tree(rng, depth: int) -> RatExpr:
+    if depth == 0 or rng.random() < 0.2:
+        return Finite({_leaf_word(rng, rng.randint(0, 4)) for _ in range(rng.randint(1, 3))})
+    kind = rng.choice(("union", "prod", "prod", "star"))
+    if kind == "star":
+        return Star(_mixed_tree(rng, depth - 1))
+    cls = Union if kind == "union" else Product
+    return cls(_mixed_tree(rng, depth - 1), _mixed_tree(rng, depth - 1))
+
+
+def _inverse_star(rng) -> RatExpr:
+    base = Finite({_leaf_word(rng, rng.randint(1, 4), (-1, -2)) for _ in range(rng.randint(1, 3))})
+    expr: RatExpr = Star(base)
+    if rng.random() < 0.5:
+        expr = Product(Finite([_leaf_word(rng, rng.randint(1, 3))]), expr)
+    if rng.random() < 0.5:
+        expr = Product(expr, Star(Finite([_leaf_word(rng, rng.randint(1, 3))])))
+    return expr
+
+
+def _corpus() -> list[RatExpr]:
+    rng = random.Random(20261018)
+    out = [_membership_shape(rng, 45, 10) for _ in range(30)]
+    out += [_mixed_tree(rng, rng.randint(2, 5)) for _ in range(60)]
+    out += [_inverse_star(rng) for _ in range(30)]
+    return out
+
+
+CORPUS = _corpus()

@@ -44,8 +44,7 @@ from oracle_boolean import (
 )
 from oracle_enum import enumerate_bounded
 from oracle_refute import Summand, standard_form
-from oracle_saturate import acceptor_to_json
-from test_saturate_oracle import CORPUS as SATURATE_CORPUS
+from oracle_saturate import CORPUS as SATURATE_CORPUS, acceptor_to_json
 from oracle_signs import positive_universe
 
 x1 = generator(1)
@@ -288,7 +287,8 @@ def test_minimize_is_equivalent_with_pairwise_distinct_states():
     for expr in EXPR_SAMPLES + EXPR_DEEP:
         for dfa in (reduced_acceptor(expr), intersect_positive(expr)):
             small = minimize(dfa)
-            assert equivalent(small, dfa), format_ratexpr(expr)
+            # the reference shares no code with minimize; equivalent does
+            assert equivalent_by_difference(small, dfa), format_ratexpr(expr)
             assert small.n_states <= dfa.n_states
             for p, q in itertools.combinations(range(small.n_states), 2):
                 string = _distinguishing_string(small, p, q)

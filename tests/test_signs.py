@@ -426,6 +426,8 @@ def test_deepest_negative_matches_enumeration(base):
     acc, bad = reduced_acceptor(base), _bad(base)
     for bound in range(1, 5):
         got = deepest_negative(acc, bound)
+        # an answer past the oracle's window would leave nothing to compare
+        assert got is None or len(got) <= 10, (bound, got)
         for window in range(0 if got is None else len(got), 11):
             assert got == deepest_negative_by_enumeration(bad, window, bound), (bound, window)
 
