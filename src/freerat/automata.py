@@ -378,6 +378,27 @@ def reaching(acc: Acceptor, targets: int) -> int:
     return found
 
 
+def reverse(acc: Acceptor) -> Acceptor:
+    """An acceptor of the reversed strings: every edge turned round, the
+    final states initial and the initial ones final (an NFA in general)."""
+    rows = [[0] * len(acc.letters) for _ in range(acc.n_states)]
+    for p, a, q in acc.transitions():
+        rows[q][acc.position[a]] |= 1 << p
+    return Acceptor(acc.alphabet, [tuple(row) for row in rows], acc.finals, acc.initial)
+
+
+def longest_run(acc: Acceptor, states: int, letter: int) -> Optional[int]:
+    """The largest k such that reading ``letter`` k times from ``states``
+    keeps a live state, or None when the run loops through live states
+    (a path of more than n_states steps has a loop)."""
+    live = live_states(acc)
+    for k in range(acc.n_states + 1):
+        states = acc.step(states, letter) & live
+        if not states:
+            return k
+    return None
+
+
 def enumerate_accepted(acc: Acceptor, max_len: int) -> Iterator[tuple[int, ...]]:
     """All accepted strings of length <= max_len (lexicographic by length).
 

@@ -2,8 +2,8 @@
 
 
 class GaveUp(RuntimeError):
-    """A computation stopped without an answer: a search reached its budget,
-    sample cap or depth cap, or a construction met no element it can use.
+    """A computation stopped without an answer: a search reached its budget
+    or depth cap, or a construction met no element it can use.
 
     The input may still have one; a larger limit or another construction
     might find it.  Other

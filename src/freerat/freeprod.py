@@ -184,10 +184,6 @@ def _normalize(group: FreeProduct, syllables: Iterable[Syllable]) -> tuple[Sylla
     return tuple(out)
 
 
-def syllable_length(u: FPElement) -> int:
-    return len(u.syllables)
-
-
 def support(u: FPElement) -> frozenset[Syllable]:
     """The set of distinct syllables in the normal form."""
     return frozenset(u.syllables)
@@ -246,17 +242,15 @@ def reversal(u: FPElement) -> FPElement:
 FREE_ZZ = FreeProduct()
 
 
-def from_f2(w: Word, group: FreeProduct = FREE_ZZ) -> FPElement:
-    """x₁ᵏ ↦ (a,k), x₂ᵏ ↦ (b,k); requires both factors infinite cyclic."""
-    if not group.is_free():
-        raise ValueError("from_f2 needs both factors infinite cyclic")
+def from_f2(w: Word) -> FPElement:
+    """x₁ᵏ ↦ (a,k), x₂ᵏ ↦ (b,k) in ℤ∗ℤ."""
     syllables = []
     for letter in w.letters:
         i = abs(letter)
         if i > 2:
             raise ValueError("from_f2 is defined on two-generator words")
         syllables.append(("a" if i == 1 else "b", 1 if letter > 0 else -1))
-    return group.element(syllables)
+    return FREE_ZZ.element(syllables)
 
 
 def to_f2(u: FPElement) -> Word:

@@ -249,17 +249,11 @@ def witness_word(w: Word, scheme: DecompositionScheme) -> WitnessCertificate:
     support word; l = n+1 makes the witness contain more x₂ letters than
     2n block segments can cover.
     """
-    e = exponent_gcd(w)
-    if e < 2:
+    if exponent_gcd(w) < 2:
         raise ValueError("witness construction needs exponent gcd >= 2")
     t = 1 + max((k for f, k in scheme.support if f == "a"), default=0)
     l = scheme.n + 1
-    base = (Word([1] * t) * Word([2])) ** l
-    exponents = bezout_coefficients(w)
-    images = tuple(base**r for r in exponents)
-    u = substitute(w, images)
-    assert u == base**e
-    return WitnessCertificate(t, l, e, base, exponents, images, u)
+    return _power_certificate(w, (Word([1] * t) * Word([2])) ** l, t, l)
 
 
 def decomposable(u: Word, scheme: DecompositionScheme) -> tuple[bool, dict]:
@@ -355,13 +349,14 @@ def _transcript_report(
     return RefutationReport(w, expr, "missing-value", wc.u, True, certificate)
 
 
-def _power_certificate(w: Word, base: Word) -> WitnessCertificate:
+def _power_certificate(w: Word, base: Word, t: int = 0, l: int = 0) -> WitnessCertificate:
+    """The value base^e of w, e its exponent gcd, with its Bézout transcript."""
     e = exponent_gcd(w)
     exponents = bezout_coefficients(w)
     images = tuple(base**r for r in exponents)
     u = substitute(w, images)
     assert u == base**e
-    return WitnessCertificate(0, 0, e, base, exponents, images, u)
+    return WitnessCertificate(t, l, e, base, exponents, images, u)
 
 
 def refute(

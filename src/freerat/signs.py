@@ -8,10 +8,11 @@ product is positive when every syllable of its normal form is.
 
 ``split_product`` realizes, for finite sets with S·T positive, the
 construction producing a single element u with S·u⁻¹ and u·T positive.
-``positivize`` rewrites a rational expression over F₂ (viewed as ℤ∗ℤ)
-into one denoting the same set whose Finite leaves contain only positive
-words, recursing on structural complexity and verifying every claimed
-inclusion exactly on saturated acceptors.
+``positivize`` rewrites a rational expression over a free group into one
+denoting the same set whose Finite leaves contain only positive words,
+recursing on structural complexity; it finds the same middle element on
+the saturated acceptors of rational S and T, and verifies every claimed
+inclusion exactly on them.
 """
 from __future__ import annotations
 
@@ -20,10 +21,12 @@ from typing import Iterable, NoReturn, Optional
 
 from freerat.automata import (
     Acceptor,
-    enumerate_accepted,
     live_states,
+    longest_run,
     reaching,
     reduced_acceptor,
+    reverse,
+    shortest_accepted,
     shortest_with_inverse,
 )
 from freerat.errors import GaveUp
@@ -32,9 +35,7 @@ from freerat.freeprod import (
     FreeProduct,
     FREE_ZZ,
     format_fp,
-    from_f2,
     reversal,
-    to_f2,
 )
 from freerat.ratexpr import (
     EMPTY,
@@ -296,7 +297,6 @@ class Positivized:
     trace: dict
 
 
-_ENUM_STEPS = (6, 10, 14)
 _RECURSION_CAP = 48  # levels of positivization recursion
 
 
@@ -344,61 +344,25 @@ def _positivize(expr: RatExpr, left: Word, right: Word, depth: int):
     raise TypeError(f"not a RatExpr: {expr!r}")
 
 
-def _require_f2(step: str, acc: Acceptor, w: Word = IDENTITY) -> None:
-    """Refuse, at a step that reads members as elements of ℤ∗ℤ, a set whose
-    members, or a coefficient w, use a third generator.  Only letters on
-    edges into live states count: a leaf letter that always cancels does
-    not."""
-    rank = w.max_generator()
-    if max(acc.alphabet) > 2:
-        live = live_states(acc)
-        used = (abs(a) for _, a, q in acc.transitions() if live >> q & 1)
-        rank = max(rank, max(used, default=0))
-    if rank > 2:
-        raise ValueError(f"{step} is defined over F2, got rank {rank}")
-
-
 def _positivize_product(l1: RatExpr, l2: RatExpr, left: Word, right: Word, depth: int):
     if not reduced_acceptor(l1).finals or not reduced_acceptor(l2).finals:
         return EMPTY, {"case": "empty-product"}
-    s_acc = reduced_acceptor(_sandwich(left, l1, IDENTITY))
-    t_acc = reduced_acceptor(_sandwich(IDENTITY, l2, right))
-    _require_f2("the product split", s_acc)
-    _require_f2("the product split", t_acc)
-    last_error: Optional[Exception] = None
-    for cap in _ENUM_STEPS:
-        s_words = [Word(s) for s in enumerate_accepted(s_acc, cap)]
-        t_words = [Word(t) for t in enumerate_accepted(t_acc, cap)]
-        if not s_words or not t_words:
-            continue
-        try:
-            split = split_product(
-                [from_f2(w) for w in s_words],
-                [from_f2(w) for w in t_words],
-                STANDARD_F2_SIGN,
-            )
-        except (RuntimeError, NotPositiveError) as err:
-            last_error = err
-            continue
-        mid = to_f2(split.u)
-        if positive_witness(_sandwich(left, l1, mid.inv())) is not None:
-            continue
-        if positive_witness(_sandwich(mid, l2, right)) is not None:
-            continue
-        e1, t1 = _positivize(l1, left, mid.inv(), depth - 1)
-        e2, t2 = _positivize(l2, mid, right, depth - 1)
-        return Product(e1, e2), {
-            "case": "product",
-            "middle": format_word(mid),
-            "split_case": split.case,
-            "sample_cap": cap,
-            "children": [t1, t2],
-        }
-    reason = f" ({last_error})" if last_error is not None else ""
-    raise GaveUp(
-        f"no middle element found for the product split within the sample caps "
-        f"{', '.join(map(str, _ENUM_STEPS))}{reason}"
+    mid, split_case = _middle(
+        reduced_acceptor(_sandwich(left, l1, IDENTITY)),
+        reduced_acceptor(_sandwich(IDENTITY, l2, right)),
     )
+    if positive_witness(_sandwich(left, l1, mid.inv())) is not None:
+        _no_middle("the product split", "left·L₁·u⁻¹")
+    if positive_witness(_sandwich(mid, l2, right)) is not None:
+        _no_middle("the product split", "u·L₂·right")
+    e1, t1 = _positivize(l1, left, mid.inv(), depth - 1)
+    e2, t2 = _positivize(l2, mid, right, depth - 1)
+    return Product(e1, e2), {
+        "case": "product",
+        "middle": format_word(mid),
+        "split_case": split_case,
+        "children": [t1, t2],
+    }
 
 
 def _positivize_star(l1: RatExpr, left: Word, right: Word, depth: int):
@@ -420,11 +384,11 @@ def _positivize_star(l1: RatExpr, left: Word, right: Word, depth: int):
     return _star_conjugate(l2, w, depth)
 
 
-def deepest_negative(acc: Acceptor, bound: int) -> Optional[tuple[int, ...]]:
+def deepest_negative(acc: Acceptor, bound: int) -> Optional[tuple[int, tuple[int, ...]]]:
     """Among the accepted strings that have a negative syllable but none
     past syllable ``bound``, the first (by length, then lexicographically
     over the sorted alphabet) whose last negative syllable has the largest
-    index; None when there is none.
+    index, with that index; None when there is none.
 
     ``acc`` accepts only reduced strings.  A breadth-first search over
     (states, last letter, syllables so far, index of the last negative
@@ -473,52 +437,72 @@ def deepest_negative(acc: Acceptor, bound: int) -> Optional[tuple[int, ...]]:
                     seen.add(config)
                     nxt.append((stepped, a, count, index, string + (a,)))
         layer = nxt
-    return None if best is None else best[1]
+    return best
 
 
-def _no_conforming(failed: str) -> NoReturn:
-    raise GaveUp(f"no conforming deepest negative member: {failed}")
+def _syllable_starts(s: tuple[int, ...]) -> list[int]:
+    """Where the syllables of a reduced string start (runs of one letter)."""
+    return [i for i, a in enumerate(s) if not i or a != s[i - 1]]
+
+
+def _middle(s_acc: Acceptor, t_acc: Acceptor) -> tuple[Word, str]:
+    """``split_product`` for the languages S and T of two DFAs, nonempty
+    with S·T positive: u with S·u⁻¹ and u·T positive, and its case.
+
+    j0 and i0 are the deepest last negative syllables over T and over the
+    reversed members of S.  A member of k syllables cancels at most k
+    syllables of a product, so the shortest member of the other side bounds
+    each search.  When j0 >= i0, every member of S ends in x^f·c⁻¹, f > 0,
+    with c and x read off the deepest member of T (see ``_lift``); when
+    i0 > j0 the construction runs on the reversed sets."""
+    s_len, t_len = (len(_syllable_starts(shortest_accepted(a))) for a in (s_acc, t_acc))
+    s_rev = reverse(s_acc)
+    i0, s_pivot = deepest_negative(s_rev, t_len) or (0, ())
+    j0, t_pivot = deepest_negative(t_acc, s_len) or (0, ())
+    if not i0 and not j0:
+        return IDENTITY, "both-positive"
+    if i0 > j0:
+        return Word(reversed(_lift(s_rev, s_pivot).letters)).inv(), "mirrored"
+    return _lift(t_acc, t_pivot), "case-1" if i0 == j0 else "case-2"
+
+
+def _lift(acc: Acceptor, pivot: tuple[int, ...]) -> Word:
+    """x^β·c⁻¹, where c is the prefix of ``pivot`` before its last negative
+    syllable, x that syllable's generator, and β the longest run of x⁻¹
+    after c in acc's language: the lower end of ``split_product``'s β."""
+    offset = max(i for i in _syllable_starts(pivot) if pivot[i] < 0)
+    states = acc.initial
+    for a in pivot[:offset]:
+        states = acc.step(states, a)
+    beta = longest_run(acc, states, pivot[offset])
+    assert beta is not None  # the members of S end in x^f·c⁻¹, f >= β
+    return Word([-pivot[offset]] * beta) * Word(pivot[:offset]).inv()
+
+
+def _no_middle(step: str, check: str) -> NoReturn:
+    raise GaveUp(f"no middle element for {step}: {check} is not positive")
 
 
 def _star_conjugate(l2, w: Word, depth: int):
     """Positivize w·L₂* when L₂ has a negative member: conjugate the star
-    base by the deepest one.  Since w·l is positive for every l in L₂, no
-    member of L₂ has a negative syllable past the syllable length of w,
-    which bounds the search."""
+    base by the middle element r of {w}·L₂, which is positive since w·L₂
+    lies in w·L₂*."""
     acc = reduced_acceptor(l2)
-    _require_f2("the star conjugation", acc, w)
-    group = FREE_ZZ
-    s = deepest_negative(acc, len(from_f2(w)))
-    # L₂ has a negative member, and none past the bound
-    assert s is not None
-    l_word = Word(s)
-    lf = from_f2(l_word)
-    i = last_negative_index(lf, STANDARD_F2_SIGN)
-    factor_id, beta = lf.syllables[i - 1]
-    # the positive suffix shared by every member: (l₁…l_{i−1})⁻¹
-    sigma = group.element((f, -k) for f, k in reversed(lf.syllables[: i - 1]))
-    if not is_positive(sigma, STANDARD_F2_SIGN):
-        _no_conforming("shared suffix of the candidate is not positive")
-    b0 = group.syllable(factor_id, -beta)
-    r = b0 * sigma
-    r_word = to_f2(r)
-    w_front = w * r_word.inv()
+    r, _ = _middle(reduced_acceptor(Finite([w])), acc)
+    w_front = w * r.inv()
     if not w_front.is_positive():
-        _no_conforming("front coefficient w·r⁻¹ is not positive")
-    l3 = conjugate_expr(l2, r_word.inv())  # denotes r·L₂·r⁻¹
+        _no_middle("the star conjugation", "the front coefficient w·r⁻¹")
+    l3 = conjugate_expr(l2, r.inv())  # denotes r·L₂·r⁻¹
     if positive_witness(l3) is not None:
-        _no_conforming("conjugated star base is not positive")
+        _no_middle("the star conjugation", "the conjugated star base r·L₂·r⁻¹")
     inner, t_in = _positivize(l3, IDENTITY, IDENTITY, depth - 1)
-    out = Product(Star(inner), Finite([r_word]))
+    out = Product(Star(inner), Finite([r]))
     if w_front != IDENTITY:
         out = Product(Finite([w_front]), out)
     return out, {
         "case": "star-conjugated",
         "acceptor_states": acc.n_states,
-        "deepest_negative": format_word(l_word),
-        "negative_index": i,
-        "b0_exponent": -beta,
-        "conjugator": format_word(r_word),
+        "conjugator": format_word(r),
         "front": format_word(w_front),
         "child": t_in,
     }

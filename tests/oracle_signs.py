@@ -39,10 +39,10 @@ def positive_witness_by_difference(expr: RatExpr) -> Optional[Word]:
 
 def deepest_negative_by_enumeration(
     bad: Acceptor, window: int, bound: int
-) -> Optional[tuple[int, ...]]:
+) -> Optional[tuple[int, tuple[int, ...]]]:
     best = None  # (index, string)
     for s in enumerate_accepted(bad, window):
         idx = last_negative_index(from_f2(Word(s)), STANDARD_F2_SIGN)
         if idx <= bound and (best is None or idx > best[0]):
             best = (idx, s)
-    return None if best is None else best[1]
+    return best

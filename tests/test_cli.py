@@ -11,10 +11,11 @@ import jsonschema
 import pytest
 
 import freerat
+from freerat.automata import equivalent, reduced_acceptor
 from freerat.cli import SCHEMA_ID, main
 from freerat.errors import GaveUp
-from freerat.ratexpr import MAX_DEPTH
-from freerat.words import MAX_WORD_LETTERS
+from freerat.ratexpr import MAX_DEPTH, Finite, Product, leaf_words, parse_ratexpr
+from freerat.words import MAX_WORD_LETTERS, parse_word
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "freerat" / "schemas" / "report.schema.json").read_text()
@@ -159,26 +160,33 @@ def test_sign_positivize(capsys):
     assert result["trace"]["case"] == "star-positive"
 
 
+def _positivized(capsys, expr, left="1"):
+    """``sign positivize`` of left·expr, checked: exit 0, positive leaves,
+    and the same set as the sandwich."""
+    result = run_json(capsys, "sign", "positivize", "--expr", expr, "--left", left)["result"]
+    got = parse_ratexpr(result["expression"])
+    assert all(w.is_positive() for w in leaf_words(got))
+    sandwich = Product(Finite([parse_word(left)]), parse_ratexpr(expr))
+    assert equivalent(reduced_acceptor(got), reduced_acceptor(sandwich))
+    return result
+
+
 def test_sign_positivize_product_samples_are_exact(capsys):
-    # P = x2^11 x2^-11 x1 denotes {x1}; the bounded unrolling missed x1
-    # until its sample cap reached 10
+    # P = x2^11 x2^-11 x1 denotes {x1}; a bounded unrolling of P misses x1
+    # below 10 letters
     leaves = ["(fin x2)"] * 11 + ["(fin x2^-1)"] * 11 + ["(fin x1)"]
     text = leaves[-1]
     for leaf in reversed(leaves[:-1]):
         text = f"(prod {leaf} {text})"
-    result = run_json(capsys, "sign", "positivize", "--expr", f"(prod {text} (fin x2))")["result"]
+    result = _positivized(capsys, f"(prod {text} (fin x2))")
     assert result["trace"]["case"] == "product"
-    assert result["trace"]["sample_cap"] == 6
 
 
-def test_sign_positivize_product_split_give_up_names_only_the_caps(capsys):
-    # {x1^5 x2^16}: the right factor's one member has 17 letters, past the
-    # last sample cap, and no split attempt raised
-    code, out, err = run_cli(
-        capsys, "sign", "positivize", "--expr", "(prod (fin (x1^-1)) (fin (x1 x2^16)))", "--left", "x1^5"
-    )
-    assert (code, out) == (3, "")
-    assert err == "error: no middle element found for the product split within the sample caps 6, 10, 14\n"
+def test_sign_positivize_product_split_reads_long_members(capsys):
+    # {x1^5 x2^16}: the right factor's one member has 17 letters; the
+    # middle element is read off the DFAs, not off samples
+    result = _positivized(capsys, "(prod (fin (x1^-1)) (fin (x1 x2^16)))", "x1^5")
+    assert result["expression"] == "(prod (fin x1^4) (fin (x1 x2^16)))"
 
 
 def test_sign_positivize_not_positive_prints_the_word(capsys):
@@ -187,35 +195,25 @@ def test_sign_positivize_not_positive_prints_the_word(capsys):
     assert err == "error: the sandwiched set is not positive: x1^-1\n"
 
 
-def test_sign_positivize_refuses_rank_3_only_at_the_f2_steps(capsys):
-    for step, expr, left in (
-        ("product split", "(prod (fin x3) (fin x1))", "1"),
-        ("star conjugation", "(star (fin (x3^-1 x2 x3)))", "x3"),
-    ):
-        code, out, err = run_cli(capsys, "sign", "positivize", "--expr", expr, "--left", left)
-        assert (code, out) == (1, "")
-        assert err == f"error: the {step} is defined over F2, got rank 3\n"
-    # a rank-3 star with a positive base needs neither step
-    result = run_json(capsys, "sign", "positivize", "--expr", "(star (fin x3 (x1 x3)))")["result"]
+def test_sign_positivize_answers_rank_3_at_the_split_and_the_star(capsys):
+    result = _positivized(capsys, "(prod (fin x3) (fin x1))")
+    assert result["expression"] == "(prod (fin x3) (fin x1))"
+    result = _positivized(capsys, "(star (fin (x3^-1 x2 x3)))", "x3")
+    assert result["trace"]["case"] == "star-conjugated"
+    assert result["trace"]["conjugator"] == "x3"
+    result = _positivized(capsys, "(star (fin x3 (x1 x3)))")
     assert result["trace"]["case"] == "star-positive"
-    # x3 cancels: the split reads members of F2 only
-    result = run_json(
-        capsys, "sign", "positivize", "--expr", "(prod (fin (x3 x1)) (fin x2))", "--left", "x3^-1"
-    )["result"]
+    result = _positivized(capsys, "(prod (fin (x3 x1)) (fin x2))", "x3^-1")
     assert result["expression"] == "(prod (fin x1) (fin x2))"
 
 
-def test_sign_positivize_star_give_up_is_one_line(capsys):
-    # members sharing the deepest negative index differ in exponent there,
-    # so the shortest one's conjugator leaves a negative base
-    code, out, err = run_cli(
-        capsys,
-        "sign", "positivize",
-        "--expr", "(star (union (fin (x2^-1 x1 x2^2) (x2^-2 x1 x2^4)) (fin x2^2)))",
-        "--left", "x2^2",
+def test_sign_positivize_star_conjugates_by_the_longest_run(capsys):
+    # members sharing the deepest negative index differ in exponent there
+    # (x2^-1 and x2^-2); the conjugator takes the longer run
+    result = _positivized(
+        capsys, "(star (union (fin (x2^-1 x1 x2^2) (x2^-2 x1 x2^4)) (fin x2^2)))", "x2^2"
     )
-    assert (code, out) == (3, "")
-    assert err == "error: no conforming deepest negative member: conjugated star base is not positive\n"
+    assert result["trace"]["conjugator"] == "x2^2"
 
 
 def test_gaps_profile_delta_table(capsys):

@@ -16,7 +16,6 @@ from freerat.freeprod import (
     parse_fp,
     reversal,
     support,
-    syllable_length,
     to_f2,
 )
 from freerat.words import Word, parse_word
@@ -97,12 +96,12 @@ def test_product_cascades_across_the_seam():
 def test_length_support_examples():
     G = FreeProduct()
     u = G.element([("a", 1), ("b", 2), ("a", 1)])
-    assert syllable_length(u) == 3
+    assert len(u) == 3
     assert support(u) == frozenset({("a", 1), ("b", 2)})
-    assert syllable_length(G.identity) == 0
+    assert len(G.identity) == 0
     assert support(G.identity) == frozenset()
     v = G.element([("b", 1), ("a", 3), ("b", 1), ("a", 3)])
-    assert syllable_length(v) == 4
+    assert len(v) == 4
     assert support(v) == frozenset({("b", 1), ("a", 3)})
 
 
@@ -141,8 +140,6 @@ def test_from_to_f2_examples():
     assert from_f2(parse_word("x1^2 x2^-1")).syllables == (("a", 2), ("b", -1))
     assert from_f2(Word()) == FREE_ZZ.identity
     assert to_f2(FREE_ZZ.identity) == Word()
-    with pytest.raises(ValueError):
-        from_f2(parse_word("x1"), FreeProduct(a=2))
     with pytest.raises(ValueError):
         from_f2(parse_word("x3"))
 
@@ -194,7 +191,7 @@ def test_group_laws(group):
         assert (u * v) * w == u * (v * w)
         assert u * u.inv() == group.identity
         assert u.inv().inv() == u
-        assert syllable_length(u * v) <= syllable_length(u) + syllable_length(v)
+        assert len(u * v) <= len(u) + len(v)
         assert u**3 == u * u * u
         assert u**-2 == (u * u).inv()
 

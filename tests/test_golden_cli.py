@@ -80,23 +80,23 @@ GOLDEN = [
     (("sign", "positivize", "--expr", "(star (fin (x1^-1 x2 x1)))", "--left", "x1", "--right", "x1^-1"),
      "0362a8a8616878f9d9749b864ce8ced13871180e487fba96b8985817a1805d40"),
     (("sign", "positivize", "--expr", "(star (fin (x1^-1 x2 x1)))", "--left", "x1"),
-     "c4e95abbd3d81c286dd2191468cf7ca7d58004bd3e360f22674f4eaf4345a663"),
+     "7d3d8c4a60f29832573d19e4f4ae87a432d62bc09dd2b0b831728dcef21c53c8"),
     (("sign", "positivize", "--expr", "(fin (x1^-1 x2))", "--left", "x1"),
      "4101ee8c6d6c9dccd29707c214635177565f7ed04b9fdedc004b89ad14df62d2"),
     (("sign", "positivize", "--expr", "(prod (fin (x1^-1 x2)) (star (fin x2)))", "--left", "x1"),
-     "56ce6716ba87bb23bb34a73fc30bc690c8307d79369f54e5a3b5b7f57a38472e"),
+     "bb97f267f4ce555b3003b9eedeae62c4983aa73830b15f5725fc0ac350efb978"),
     (("sign", "positivize", "--expr", "(star (union (fin (x1^-1 x2 x1)) (fin (x1^-1 x2^2 x1))))", "--left", "x1"),
-     "7ebef8d18257094617f8c097588c12ddc3855944f433814621806cd29874682a"),
+     "e926732e0914d7005525f698ed3df237ae45c4841d9a9366909db2fea56c81a8"),
     (("sign", "positivize", "--expr", "(star (star (fin (x1^-1 x2 x1))))", "--left", "x1"),
-     "5a0dc4546f9a4d2b06fe0e9f28f5b0795f2889b06165d7a470effa6644ae6363"),
+     "242cb7b94f533320b37fb01ef02228fced855dc0af76a201b8bd26b02c4ab29e"),
     (("sign", "positivize", "--expr", "(star (fin (x2^-1 x1^-1 x2 x1 x2)))", "--left", "x1 x2"),
-     "b6ca094e1ebc5e54ac62f84eb7bb49c0c2010d4bcd6e0e60de88a90eb60bbfb4"),
+     "207b62f9475449eb6650ea3c2dbf9f41a980f3fddf6e81b772798c6069efa515"),
     (("sign", "positivize", "--expr", "(prod (fin (x2 x1^-1)) (fin (x1 x2)))", "--left", "x1"),
-     "7ae99366b11f46e496488b55d61a81b9ba95f2cdedca85f2f7e5a06eeb146440"),
+     "39b9e906a538891f5b524ecff8cc7fc498bfc1d92bc9f5ad6ad52752defb7217"),
     (("sign", "positivize", "--expr", "(prod (star (fin (x1^-1 x2 x1))) (fin (x1^-1 x2^2)))", "--left", "x1", "--right", "x1"),
-     "4212c9c4d97e7b1954f85a344a62381f5014d7c9f327c73e57cc1da94eb7dca7"),
+     "c7378764c0f74f99e9488a13f3a1c4006bd9e30e10d413b66039a2090447518e"),
     (("sign", "positivize", "--expr", "(union (fin (x2^-1 x1 x2)) (star (fin (x2^-1 x1^2 x2))))", "--left", "x2"),
-     "f61ce0983cdf3f339a7bc4095cedbdd13a82b36b244738240ce24df1da384ce2"),
+     "a65114cb5df3aca876efe402341ff3f39c1140159925d55684da9ffcfcd2afc4"),
     (("gaps", "scan", "--word", "x1^2", "--b", "b^1", "--samples", "40", "--seed", "1", "--cap-len", "6"),
      "87018bc302c3ad2523d081d6042b462565aba13d8bd80466263948bb76827277"),
     (("gaps", "scan", "--word", "x1^2", "--b", "b^1", "--samples", "40", "--seed", "2", "--cap-len", "12"),

@@ -11,9 +11,11 @@ from freerat.automata import (
     enumerate_accepted,
     equivalent,
     intersect_positive,
+    longest_run,
     member,
     minimize,
     reduced_acceptor,
+    reverse,
     saturate,
     shortest_accepted,
 )
@@ -354,6 +356,26 @@ def test_enumerate_accepted_expands_only_live_prefixes(monkeypatch):
     monkeypatch.setattr(Acceptor, "successors", counting)
     assert list(enumerate_accepted(dfa, 8)) == [(1, 2)]
     assert calls == 3
+
+
+def test_reverse_accepts_exactly_the_reversed_strings():
+    for expr in SATURATE_CORPUS:
+        dfa = reduced_acceptor(expr)
+        assert strings(reverse(dfa), 6) == {s[::-1] for s in strings(dfa, 6)}, format_ratexpr(expr)
+
+
+def test_longest_run_on_a_chain_and_on_a_loop():
+    # the complete DFA's dead state loops on every letter; it is not live
+    chain = reduced_acceptor(finite("x1^3 x2", "x1^5 x2^-1", "x2"))
+    assert longest_run(chain, chain.initial, 1) == 5
+    assert longest_run(chain, chain.initial, -1) == 0
+    assert longest_run(chain, chain.step(chain.initial, 1), 1) == 4
+    loop = reduced_acceptor(Product(finite("x2"), Star(finite("x1"))))
+    assert longest_run(loop, loop.initial, 1) == 0
+    assert longest_run(loop, loop.step(loop.initial, 2), 1) is None
+    # the reversed acceptor is an NFA; runs read its state sets
+    assert longest_run(reverse(chain), reverse(chain).initial, 1) == 0
+    assert longest_run(reverse(loop), reverse(loop).initial, 1) is None
 
 
 def test_saturate_accepts_only_reduced_strings():

@@ -12,7 +12,7 @@ from oracle_signs import (
 
 from freerat import signs
 from freerat.automata import equivalent, reduced_acceptor
-from freerat.freeprod import FreeProduct, FREE_ZZ
+from freerat.freeprod import FreeProduct, FREE_ZZ, from_f2
 from freerat.ratexpr import (
     Finite,
     Product,
@@ -386,7 +386,6 @@ def test_positivize_star_negative_base_deeper():
         Star(finite("x2^-1 x1^-1 x2 x1 x2")), parse_word("x1 x2")
     )
     assert result.trace["case"] == "star-conjugated"
-    assert result.trace["negative_index"] == 2
     assert result.trace["conjugator"] == "x1 x2"
 
 
@@ -427,8 +426,8 @@ def test_deepest_negative_matches_enumeration(base):
     for bound in range(1, 5):
         got = deepest_negative(acc, bound)
         # an answer past the oracle's window would leave nothing to compare
-        assert got is None or len(got) <= 10, (bound, got)
-        for window in range(0 if got is None else len(got), 11):
+        assert got is None or len(got[1]) <= 10, (bound, got)
+        for window in range(0 if got is None else len(got[1]), 11):
             assert got == deepest_negative_by_enumeration(bad, window, bound), (bound, window)
 
 
@@ -437,7 +436,7 @@ def test_positivize_star_finds_a_negative_member_past_any_window():
     # and more; the search is bounded by syllables, not by letters
     result = _check_positivized(Star(finite("x2^-1 x1^25 x2")), parse_word("x2"))
     assert result.trace["case"] == "star-conjugated"
-    assert result.trace["deepest_negative"] == "x2^-1 x1^25 x2"
+    assert result.trace["conjugator"] == "x2"
 
 
 def test_positivize_union_inside_star():
@@ -520,3 +519,83 @@ def test_positivize_on_conjugated_positive_sets():
         result = positivize(expr, g, g.inv())
         assert equivalent(reduced_acceptor(result.expr), reduced_acceptor(base))
         assert all(w.is_positive() for w in leaf_words(result.expr))
+
+
+# -- the middle element on rational sets, ranks 2 and 3 -------------------
+
+
+def _random_word(rng, rank, lo, hi, positive=False):
+    letters = []
+    for _ in range(rng.randint(lo, hi)):
+        a = rng.randint(1, rank) * (1 if positive else rng.choice((1, -1)))
+        if not letters or a != -letters[-1]:
+            letters.append(a)
+    return Word(letters)
+
+
+def _random_positive_tree(rng, rank, depth):
+    if depth == 0 or rng.random() < 0.4:
+        return Finite({_random_word(rng, rank, 1, 3, True) for _ in range(rng.randint(1, 2))})
+    kind = rng.choice(("union", "prod", "star"))
+    if kind == "star":
+        return Star(_random_positive_tree(rng, rank, depth - 1))
+    cls = Union if kind == "union" else Product
+    return cls(_random_positive_tree(rng, rank, depth - 1), _random_positive_tree(rng, rank, depth - 1))
+
+
+def _middle_corpus():
+    """(kind, expression, left, right, S, T, finite S and T or None): about
+    100 products g·x·(x⁻¹·P₁·m⁻¹)·(m·P₂) and 100 stars
+    g·r·h·(h⁻¹·r⁻¹·Q·r·h)*·h⁻¹, whose sandwiches are g·P₁·P₂ and g·Q*·r
+    with g, r, P₁, P₂ and Q positive.  S and T are the expressions whose
+    middle element the product split or the star conjugation asks for."""
+    rng = random.Random(1509)
+    out = []
+    for _ in range(100):
+        rank = rng.choice((2, 3))
+        g = _random_word(rng, rank, 0, 2, True)
+        x, m = _random_word(rng, rank, 0, 3), _random_word(rng, rank, 1, 3)
+        p1, p2 = (_random_positive_tree(rng, rank, rng.randint(0, 2)) for _ in range(2))
+        l1 = Product(Finite([x.inv()]), Product(p1, Finite([m.inv()])))
+        l2 = Product(Finite([m]), p2)
+        sets = None
+        if isinstance(p1, Finite) and isinstance(p2, Finite):
+            sets = ([g * p * m.inv() for p in p1.elements], [m * q for q in p2.elements])
+        out.append(("product", Product(l1, l2), g * x, IDENTITY, _sandwich_expr(g * x, l1, IDENTITY), l2, sets))
+    while len(out) < 200:
+        rank = rng.choice((2, 3))
+        g, r = _random_word(rng, rank, 0, 2, True), _random_word(rng, rank, 1, 3, True)
+        h = _random_word(rng, rank, 0, 2)
+        q = _random_positive_tree(rng, rank, rng.randint(0, 2))
+        base = conjugate_expr(q, r)
+        if positive_witness(base) is None:
+            continue  # a positive base needs no conjugation
+        sets = ([g * r], [r.inv() * p * r for p in q.elements]) if isinstance(q, Finite) else None
+        out.append(("star", Star(conjugate_expr(q, r * h)), g * r * h, h.inv(), Finite([g * r]), base, sets))
+    return out
+
+
+def test_middle_contract_and_positivize_on_a_seeded_corpus():
+    cases = set()
+    for kind, expr, left, right, s, t, _ in _middle_corpus():
+        u, case = signs._middle(reduced_acceptor(s), reduced_acceptor(t))
+        assert positive_witness(Product(s, Finite([u.inv()]))) is None, (expr, u)
+        assert positive_witness(Product(Finite([u]), t)) is None, (expr, u)
+        result = _check_positivized(expr, left, right)
+        assert result.trace["case"] == {"product": "product", "star": "star-conjugated"}[kind]
+        cases.add(case)
+    # case-1 (i0 = j0 > 0) needs a finite factor; see split_product
+    assert cases == {"both-positive", "case-2", "mirrored"}
+
+
+def test_middle_case_matches_split_product_on_finite_sets():
+    # the reference construction on the same finite sets, in ℤ∗ℤ
+    checked = 0
+    for _, _, _, _, s, t, sets in _middle_corpus():
+        if sets is None or max(w.max_generator() for w in sets[0] + sets[1]) > 2:
+            continue
+        _, case = signs._middle(reduced_acceptor(s), reduced_acceptor(t))
+        trace = split_product(*([from_f2(w) for w in side] for side in sets), SIG)
+        assert case == trace.case, sets
+        checked += 1
+    assert checked >= 30
