@@ -7,7 +7,6 @@ from freerat.words import (  # noqa: F401
     Word,
     WordClass,
     bezout_coefficients,
-    bezout_substitution,
     classify,
     cyclic_reduce,
     exponent_gcd,
@@ -47,13 +46,11 @@ from freerat.signs import (  # noqa: F401
     Positivized,
     positive_witness,
     positivize,
-    split_product,
 )
 from freerat.gaps import (  # noqa: F401
     GapProfile,
     ScanConfig,
     criterion_scan,
-    family_member,
     gamma,
     gap_profile,
     unbounded_family,

@@ -123,6 +123,12 @@ class FPElement:
                 base = base * base
         return result
 
+    def is_positive(self) -> bool:
+        """True when every syllable has a positive exponent.  A finite
+        factor's exponents are canonical (0 < k < m), so each of its
+        elements counts as positive; so does the identity."""
+        return all(k > 0 for _, k in self.syllables)
+
     def __len__(self) -> int:
         return len(self.syllables)
 
@@ -189,52 +195,24 @@ def support(u: FPElement) -> frozenset[Syllable]:
     return frozenset(u.syllables)
 
 
-@dataclass(frozen=True)
-class CoreDecomposition:
-    """u = r_t⁻¹…r₁⁻¹ · core · r₁…r_t with the core not conjugation-peelable."""
-
-    conjugator_syllables: tuple[Syllable, ...]  # (r₁, …, r_t), innermost first
-    core: FPElement
-
-    def reassemble(self) -> FPElement:
-        g = self.core.group
-        conj = g.element(self.conjugator_syllables)
-        return conj.inv() * self.core * conj
-
-
-def core_decompose(u: FPElement) -> CoreDecomposition:
-    """Greedy peeling of mutually inverse outer syllables into the conjugator."""
-    if not u:
-        raise ValueError("identity has no core decomposition")
-    group = u.group
-    syl = list(u.syllables)
-    peeled: list[Syllable] = []
-    while len(syl) >= 2 and syl[0][0] == syl[-1][0] and group.factors[syl[0][0]].canon(syl[0][1] + syl[-1][1]) == 0:
-        peeled.append(syl[-1])
-        syl = syl[1:-1]
-    decomp = CoreDecomposition(tuple(reversed(peeled)), group.element(syl))
-    assert decomp.reassemble() == u
-    return decomp
-
-
 def cyclic_form(u: FPElement) -> FPElement:
-    """The cyclically reduced form of the core, with same-factor ends merged
+    """The cyclically reduced form of u: the end syllables that cancel in
+    pairs are peeled off, and same-factor ends left after that are merged
     into a single closing syllable."""
     if not u:
         raise ValueError("identity has no cyclic form")
-    core = core_decompose(u).core
-    syl = core.syllables
-    if len(syl) <= 1 or syl[0][0] != syl[-1][0]:
-        return core
-    f = syl[0][0]
-    merged = core.group.factors[f].canon(syl[-1][1] + syl[0][1])
-    assert merged != 0  # guaranteed: the core's ends do not cancel
-    return core.group.element(syl[1:-1] + ((f, merged),))
-
-
-def reversal(u: FPElement) -> FPElement:
-    """Reverse the syllable order (an anti-automorphism keeping each syllable)."""
-    return _normal_element(u.group, u.syllables[::-1])
+    syl = u.syllables
+    factors = u.group.factors
+    i, j = 0, len(syl) - 1
+    while i < j and syl[i][0] == syl[j][0] and factors[syl[i][0]].canon(syl[i][1] + syl[j][1]) == 0:
+        i += 1
+        j -= 1
+    if i < j and syl[i][0] == syl[j][0]:
+        # an odd core of three or more syllables whose ends do not cancel
+        f = syl[i][0]
+        merged = factors[f].canon(syl[i][1] + syl[j][1])
+        return _normal_element(u.group, syl[i + 1 : j] + ((f, merged),))
+    return _normal_element(u.group, syl[i : j + 1])
 
 
 # -- the F₂ ≅ ℤ∗ℤ identification ------------------------------------------

@@ -7,7 +7,8 @@ b⁻¹-counts disagree modulo e.  On any set of w-values with e = e(w) ≥ 2
 the function γ_{b,e} stays bounded, which makes it a cheap certificate
 that a family of words cannot all be w-values: ``criterion_scan`` samples
 w-values to exhibit the empirical bound, and ``unbounded_family`` builds
-positive words with γ growing without bound.
+positive families meant to make γ grow (not guaranteed; see its
+docstring).
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from freerat.freeprod import (
     fp_substitute,
     support,
 )
-from freerat.signs import is_positive, standard_sign
 from freerat.words import MAX_WORD_LETTERS, Word, WordClass, classify, exponent_gcd
 
 
@@ -255,16 +255,6 @@ class FamilyReport:
     gammas: tuple[int, ...]
 
 
-def family_member(
-    p: FPElement, u: FPElement, v: FPElement, q: FPElement, n: int
-) -> FPElement:
-    """p·uu·v¹·uu·v²·uu ⋯ vⁿ·uu·q — the n-th cumulative member."""
-    out = p * u * u
-    for k in range(1, n + 1):
-        out = out * v**k * u * u
-    return out * q
-
-
 def unbounded_family(
     p: FPElement,
     u: FPElement,
@@ -276,12 +266,15 @@ def unbounded_family(
     """γ_{b,e} along the cumulative family p·uu·v·uu·v²·uu ⋯ vⁿ·uu·q.
 
     b is the smallest syllable occurring in the cyclic form of u but not
-    in that of v; each appended vᵏ block contributes a fresh b-gap length,
-    so γ grows without bound while every member stays positive."""
+    in that of v, and every member is positive.  Each appended vᵏ block is
+    meant to add a fresh b-gap length, but growth is not guaranteed: when
+    u·u merges with the end syllables of v, b need not occur in any member
+    at all.  ``refute --word "x1^2 x2^-2 x1^2" --expr "(star (fin x1^2
+    x2^2))"`` builds such a family, u = x1⁴ and v = x1² x2², whose γ stays
+    0.  ROADMAP.md open item 2 (exact gap certificates) plans the fix."""
     if n_max < 1:
         raise ValueError(f"n_max (--n) must be >= 1, got {n_max}")
-    sign = standard_sign(u.group)
-    if not all(is_positive(x, sign) for x in (p, u, v, q)):
+    if not all(x.is_positive() for x in (p, u, v, q)):
         raise ValueError("family inputs must be positive")
     if len(cyclic_form(v)) < 2:
         raise ValueError("v must have cyclic syllable length at least 2")

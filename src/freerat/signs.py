@@ -1,23 +1,21 @@
-"""Sign functions on free products, the constructive product split, and
-rewriting rational expressions so that every leaf is positive.
+"""Positivity of rational subsets of F₂, and rewriting rational expressions
+so that every leaf is positive.
 
-A sign model assigns each cyclic factor a positivity rule: the infinite
-cyclic factor is positive on nonnegative exponents; a finite cyclic factor
-carries a configured submonoid of residues.  An element of the free
-product is positive when every syllable of its normal form is.
-
-``split_product`` realizes, for finite sets with S·T positive, the
-construction producing a single element u with S·u⁻¹ and u·T positive.
-``positivize`` rewrites a rational expression over a free group into one
-denoting the same set whose Finite leaves contain only positive words,
-recursing on structural complexity; it finds the same middle element on
-the saturated acceptors of rational S and T, and verifies every claimed
-inclusion exactly on them.
+A word is positive when it has no inverse letter (``Word.is_positive``).
+``positive_witness`` decides positivity of a rational set on its saturated
+acceptor.  ``positivize`` rewrites a rational expression over a free group
+into one denoting the same set whose Finite leaves contain only positive
+words, recursing on structural complexity.  At a product S·T, and at a
+star whose base is not positive, it needs a middle element u with S·u⁻¹
+and u·T positive: ``_middle`` reads u off the acceptors of S and T, and
+every claimed inclusion is verified exactly on them.  The construction it
+follows on finite sets, the product split, is kept in
+``tests/oracle_signs.py`` as the reference ``_middle`` is checked against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NoReturn, Optional
+from typing import NoReturn, Optional
 
 from freerat.automata import (
     Acceptor,
@@ -30,13 +28,6 @@ from freerat.automata import (
     shortest_with_inverse,
 )
 from freerat.errors import GaveUp
-from freerat.freeprod import (
-    FPElement,
-    FreeProduct,
-    FREE_ZZ,
-    format_fp,
-    reversal,
-)
 from freerat.ratexpr import (
     EMPTY,
     Finite,
@@ -50,223 +41,11 @@ from freerat.words import IDENTITY, Word, format_word
 
 
 class NotPositiveError(ValueError):
-    """A set required to be positive has a negative member."""
+    """A set required to be positive has a negative member, the witness."""
 
-    def __init__(self, message: str, witness):
-        if isinstance(witness, Word):
-            shown = format_word(witness)
-        else:  # a pair (s, t) of free-product elements
-            shown = "(" + ", ".join(format_fp(u) for u in witness) + ")"
-        super().__init__(f"{message}: {shown}")
+    def __init__(self, message: str, witness: Word):
+        super().__init__(f"{message}: {format_word(witness)}")
         self.witness = witness
-
-
-# -- sign models -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SignModel:
-    """Per-factor positivity over a two-factor free product.
-
-    ``positive_sets`` maps a factor id to None for the infinite cyclic
-    rule (exponent >= 0) or, for a finite cyclic factor, to the set of
-    positive residues, which must contain 0 and be closed under addition
-    modulo the factor order.
-    """
-
-    group: FreeProduct
-    positive_sets: tuple[tuple[str, Optional[frozenset[int]]], ...]
-
-    def __post_init__(self):
-        rules = dict(self.positive_sets)
-        for fid, factor in self.group.factors.items():
-            rule = rules.get(fid)
-            if factor.modulus is None:
-                if rule is not None:
-                    raise ValueError(f"factor {fid!r} is infinite cyclic; rule must be None")
-            else:
-                if rule is None:
-                    raise ValueError(f"factor {fid!r} needs an explicit positive set")
-                if 0 not in rule:
-                    raise ValueError(f"positive set of {fid!r} must contain the identity")
-                m = factor.modulus
-                for x in rule:
-                    for y in rule:
-                        if (x + y) % m not in rule:
-                            raise ValueError(
-                                f"positive set of {fid!r} is not closed under product"
-                            )
-
-    def rule(self, factor_id: str) -> Optional[frozenset[int]]:
-        return dict(self.positive_sets)[factor_id]
-
-    def factor_positive(self, factor_id: str, exponent: int) -> bool:
-        """Positivity of a single factor element (exponent 0 = identity)."""
-        factor = self.group.factors[factor_id]
-        if factor.modulus is None:
-            return exponent >= 0
-        return factor.canon(exponent) in self.rule(factor_id)
-
-
-def standard_sign(group: FreeProduct) -> SignModel:
-    """Nonnegative exponents on ℤ factors; everything positive on finite
-    cyclic factors (the only rule valid for every finite cyclic group)."""
-    rules = []
-    for fid, factor in group.factors.items():
-        if factor.modulus is None:
-            rules.append((fid, None))
-        else:
-            rules.append((fid, frozenset(range(factor.modulus))))
-    return SignModel(group, tuple(rules))
-
-
-STANDARD_F2_SIGN = standard_sign(FREE_ZZ)
-
-
-def is_positive(u: FPElement, sign: SignModel) -> bool:
-    if u.group != sign.group:
-        raise ValueError("element does not belong to the sign model's group")
-    return all(sign.factor_positive(fid, exp) for fid, exp in u.syllables)
-
-
-def first_negative_index(u: FPElement, sign: SignModel) -> int:
-    """1-based index of the first negative syllable; 0 when positive."""
-    for idx, (fid, exp) in enumerate(u.syllables, start=1):
-        if not sign.factor_positive(fid, exp):
-            return idx
-    return 0
-
-
-def last_negative_index(u: FPElement, sign: SignModel) -> int:
-    """1-based index of the last negative syllable; 0 when positive."""
-    out = 0
-    for idx, (fid, exp) in enumerate(u.syllables, start=1):
-        if not sign.factor_positive(fid, exp):
-            out = idx
-    return out
-
-
-# -- the constructive split ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SplitTrace:
-    """Audit record of one split: S·u⁻¹ and u·T are positive."""
-
-    i0: int
-    j0: int
-    c: FPElement
-    b0: FPElement
-    u: FPElement
-    case: str  # both-positive | case-1 | case-2 | mirrored
-
-
-def _split_factor_element(
-    sign: SignModel, factor_id: str, s_exps: list[int], t_exps: list[int]
-) -> int:
-    """An exponent β with s−β and β+t positive in the factor for all
-    constraints; raises if the factor rule admits none."""
-    factor = sign.group.factors[factor_id]
-    if factor.modulus is None:
-        lo = max((-t for t in t_exps), default=None)
-        hi = min(s_exps, default=None)
-        if hi is not None and lo is not None and lo > hi:
-            raise RuntimeError("no splitting exponent exists for the ℤ factor")
-        if hi is not None:
-            return hi
-        if lo is not None:
-            return lo
-        return 0
-    rule = sign.rule(factor_id)
-    m = factor.modulus
-    for r in range(m):
-        if all((s - r) % m in rule for s in s_exps) and all(
-            (r + t) % m in rule for t in t_exps
-        ):
-            return r
-    raise RuntimeError("the finite factor's sign rule admits no splitting element")
-
-
-def split_product(
-    S: Iterable[FPElement], T: Iterable[FPElement], sign: SignModel
-) -> SplitTrace:
-    """Given finite nonempty S, T with every product s·t positive, produce
-    u with S·u⁻¹ and u·T positive, following the cancellation analysis of
-    the common prefix c before the deepest surviving negative syllable."""
-    S, T = frozenset(S), frozenset(T)
-    if not S or not T:
-        raise ValueError("split_product needs non-empty S and T")
-    group = sign.group
-    for s in sorted(S):
-        for t in sorted(T):
-            if not is_positive(s * t, sign):
-                raise NotPositiveError(
-                    "S·T has a non-positive product", (s, t)
-                )
-
-    i_vals = [
-        len(u) - first_negative_index(u, sign) + 1
-        for u in S
-        if not is_positive(u, sign)
-    ]
-    j_vals = [last_negative_index(v, sign) for v in T if not is_positive(v, sign)]
-    i0 = max(i_vals, default=0)
-    j0 = max(j_vals, default=0)
-
-    if i0 == 0 and j0 == 0:
-        return SplitTrace(0, 0, group.identity, group.identity, group.identity, "both-positive")
-
-    if i0 > j0:
-        inner = split_product(
-            [reversal(t) for t in T], [reversal(s) for s in S], sign
-        )
-        u = reversal(inner.u).inv()
-        trace = SplitTrace(i0, j0, inner.c, inner.b0, u, "mirrored")
-        _verify_split(S, T, trace, sign)
-        return trace
-
-    pivot = min(
-        v for v in T if not is_positive(v, sign) and last_negative_index(v, sign) == j0
-    )
-    c = group.element(pivot.syllables[: j0 - 1])
-    factor_id = pivot.syllables[j0 - 1][0]
-    c_inv = c.inv()
-
-    s_exps = []
-    for u_ in sorted(S):
-        tail = u_ * c
-        if tail and tail.syllables[-1][0] == factor_id:
-            s_exps.append(tail.syllables[-1][1])
-        else:
-            s_exps.append(0)  # u⁻¹'s leading factor element survives bare
-    t_exps = []
-    for v in sorted(T):
-        head = c_inv * v
-        if head and head.syllables[0][0] == factor_id:
-            t_exps.append(head.syllables[0][1])
-        else:
-            t_exps.append(0)
-
-    beta = _split_factor_element(sign, factor_id, s_exps, t_exps)
-    b0 = group.syllable(factor_id, beta)
-    u = b0 * c_inv
-    trace = SplitTrace(i0, j0, c, b0, u, "case-1" if i0 == j0 else "case-2")
-    _verify_split(S, T, trace, sign)
-    return trace
-
-
-def _verify_split(S, T, trace: SplitTrace, sign: SignModel) -> None:
-    u_inv = trace.u.inv()
-    for s in S:
-        if not is_positive(s * u_inv, sign):
-            raise RuntimeError(
-                f"split contract failed: {format_fp(s)}·u⁻¹ is not positive"
-            )
-    for t in T:
-        if not is_positive(trace.u * t, sign):
-            raise RuntimeError(
-                f"split contract failed: u·{format_fp(t)} is not positive"
-            )
 
 
 # -- exact positivity of rational subsets of F2 ----------------------------
@@ -446,8 +225,9 @@ def _syllable_starts(s: tuple[int, ...]) -> list[int]:
 
 
 def _middle(s_acc: Acceptor, t_acc: Acceptor) -> tuple[Word, str]:
-    """``split_product`` for the languages S and T of two DFAs, nonempty
-    with S·T positive: u with S·u⁻¹ and u·T positive, and its case.
+    """The product split of ``tests/oracle_signs.py``, carried from finite
+    sets to the languages S and T of two DFAs, nonempty with S·T positive:
+    u with S·u⁻¹ and u·T positive, and the split's case.
 
     j0 and i0 are the deepest last negative syllables over T and over the
     reversed members of S.  A member of k syllables cancels at most k
@@ -469,7 +249,8 @@ def _middle(s_acc: Acceptor, t_acc: Acceptor) -> tuple[Word, str]:
 def _lift(acc: Acceptor, pivot: tuple[int, ...]) -> Word:
     """x^β·c⁻¹, where c is the prefix of ``pivot`` before its last negative
     syllable, x that syllable's generator, and β the longest run of x⁻¹
-    after c in acc's language: the lower end of ``split_product``'s β."""
+    after c in acc's language: the lower end of the interval of valid β,
+    whose upper end the split of ``tests/oracle_signs.py`` takes."""
     offset = max(i for i in _syllable_starts(pivot) if pivot[i] < 0)
     states = acc.initial
     for a in pivot[:offset]:

@@ -26,7 +26,6 @@ from freerat.freeprod import (
 )
 from freerat.errors import GaveUp
 from freerat.gaps import FamilyReport, unbounded_family
-from freerat.signs import is_positive, standard_sign
 from freerat.words import (
     IDENTITY,
     Word,
@@ -363,9 +362,8 @@ def support_dichotomy_check(
     if not elements:
         raise ValueError("need at least one nonidentity generator")
     group = elements[0].group
-    sign = standard_sign(group)
     for g in (*elements, p, q):
-        if not is_positive(g, sign):
+        if not g.is_positive():
             raise ValueError(f"dichotomy needs positive inputs, got {g!r}")
     if exponent_gcd(w) < 2:
         raise ValueError("dichotomy targets words with exponent gcd >= 2")

@@ -214,20 +214,6 @@ def substitute(w: Word, images: Sequence[Word]) -> Word:
     return out
 
 
-def bezout_substitution(w: Word, g: Word, rank: Optional[int] = None) -> Word:
-    """Substitute ``x_i -> g ** r_i`` for the Bezout coefficients r.
-
-    Because every image is a power of ``g``, the value collapses to
-    ``g ** exponent_gcd(w)`` exactly; the equality is asserted.
-    """
-    n = w.max_generator() if rank is None else rank
-    r = bezout_coefficients(w, n)
-    e = exponent_gcd(w, n)
-    value = substitute(w, [g**ri for ri in r])
-    assert value == g**e
-    return value
-
-
 class WordClass(Enum):
     TRIVIAL = "trivial"
     COMMUTATOR = "commutator"

@@ -3,13 +3,25 @@
 ``gaps.gap_profile`` counts b and b⁻¹ in a single pass; ``gap_table`` is
 the scan it replaced, one pass per syllable, kept as an independent check.
 ``random_element`` and ``scan_report`` are the scan as it was first
-written, drawing through ``randrange``, ``randint`` and ``choice``."""
+written, drawing through ``randrange``, ``randint`` and ``choice``.
+``family_member`` builds the n-th member of ``gaps.unbounded_family`` on
+its own, from the powers vᵏ rather than the running prefix."""
 import random
 from collections import Counter
 from typing import Optional
 
-from freerat.freeprod import fp_substitute
+from freerat.freeprod import FPElement, fp_substitute
 from freerat.gaps import ScanRecord, ScanReport, gap_profile
+
+
+def family_member(
+    p: FPElement, u: FPElement, v: FPElement, q: FPElement, n: int
+) -> FPElement:
+    """p·uu·v¹·uu·v²·uu ⋯ vⁿ·uu·q — the n-th cumulative member."""
+    out = p * u * u
+    for k in range(1, n + 1):
+        out = out * v**k * u * u
+    return out * q
 
 
 def gap_counts(syllables, b) -> dict[int, int]:

@@ -12,9 +12,10 @@ import time
 from oracle_boolean import intersect
 from oracle_enum import enumerate_bounded
 from oracle_refute import refute_by_standard_form
-from oracle_signs import positive_universe
+from oracle_signs import STANDARD_F2_SIGN, SignModel, is_positive, positive_universe, split_product
 from oracle_squares import exhaustive_square_gamma_max
 from oracle_verbal import lattice_index
+from oracle_words import bezout_substitution
 
 from freerat.automata import (
     enumerate_accepted,
@@ -36,20 +37,13 @@ from freerat.ratexpr import (
 )
 from freerat.errors import GaveUp
 from freerat.refuter import loop_components, positive_dfa, refute, replay_report
-from freerat.signs import (
-    STANDARD_F2_SIGN,
-    SignModel,
-    is_positive,
-    positive_witness,
-    positivize,
-    split_product,
-)
+from freerat import signs
+from freerat.signs import positive_witness, positivize
 from freerat.verbal import abelianized_verbal
 from freerat.words import (
     IDENTITY,
     Word,
     WordClass,
-    bezout_substitution,
     classify,
     exponent_gcd,
     exponent_profile,
@@ -270,6 +264,21 @@ def test_c05_split_contract_thousand_instances():
         assert all(is_positive(s * u_inv, sign) for s in S)
         assert all(is_positive(trace.u * t, sign) for t in T)
     assert time.perf_counter() - start < 10.0
+
+
+def test_c05_middle_element_on_the_free_instances():
+    # the shipped construction, on the DFAs of the same 700 ℤ∗ℤ instances
+    rng = random.Random(202605)
+    cases = set()
+    for _ in range(700):
+        S, T = _split_instance(rng, FREE_ZZ, STANDARD_F2_SIGN)
+        s_words, t_words = [to_f2(s) for s in S], [to_f2(t) for t in T]
+        u, case = signs._middle(reduced_acceptor(Finite(s_words)), reduced_acceptor(Finite(t_words)))
+        assert all((s * u.inv()).is_positive() for s in s_words), (S, T)
+        assert all((u * t).is_positive() for t in t_words), (S, T)
+        assert case == split_product(S, T, STANDARD_F2_SIGN).case, (S, T)
+        cases.add(case)
+    assert cases == {"both-positive", "case-2", "mirrored"}
 
 
 # -- criterion 6: positivization preserves the language ---------------------

@@ -3,18 +3,17 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracle_freeprod import core_decompose, cyclic_form_by_peeling
+from oracle_signs import reversal
 
 from freerat.freeprod import (
     FREE_ZZ,
-    CoreDecomposition,
     FPElement,
     FreeProduct,
-    core_decompose,
     cyclic_form,
     format_fp,
     from_f2,
     parse_fp,
-    reversal,
     support,
     to_f2,
 )
@@ -134,6 +133,28 @@ def test_cyclic_form_examples():
     assert cyclic_form(G.element([("a", 5)])) == G.element([("a", 5)])
     with pytest.raises(ValueError):
         cyclic_form(G.identity)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_cyclic_form_matches_the_peeling_oracle(group):
+    rng = random.Random(19)
+
+    def rand(n):
+        return group.element([(rng.choice("ab"), rng.randint(-4, 4)) for _ in range(rng.randint(0, n))])
+
+    peeled = merged = 0
+    for _ in range(1000):
+        g = rand(4)
+        for u in (rand(8), g.inv() * rand(6) * g):
+            if not u:
+                continue
+            got = cyclic_form(u)
+            assert got == cyclic_form_by_peeling(u), u
+            assert got.syllables == group.element(got.syllables).syllables  # a normal form
+            core = core_decompose(u).core
+            peeled += core != u
+            merged += len(got) < len(core)
+    assert peeled >= 200 and merged >= 200
 
 
 def test_from_to_f2_examples():

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_gaps import gap_table, random_element, scan_report
+from oracle_gaps import family_member, gap_table, random_element, scan_report
 from oracle_squares import exhaustive_square_gamma_max
 from freerat.freeprod import FREE_ZZ, FreeProduct, fp_substitute, to_f2
 from freerat.gaps import (
@@ -13,7 +13,6 @@ from freerat.gaps import (
     ScanConfig,
     _element_sampler,
     criterion_scan,
-    family_member,
     gamma,
     gap_profile,
     unbounded_family,

@@ -1,0 +1,52 @@
+"""The arithmetic layers (words, free products, gaps, verbal sets) import
+nothing from the rational-set layers built on them, directly or through
+another module of the package."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import freerat
+
+SRC = Path(freerat.__file__).parent
+ARITHMETIC = ("words", "freeprod", "gaps", "verbal")
+RATIONAL = {"signs", "automata", "ratexpr", "refuter"}
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The freerat modules a source file imports, by short name."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "freerat" if node.level else node.module or ""
+            if node.level and node.module:
+                base += "." + node.module
+            # ``from freerat import signs`` imports the module signs
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "freerat" and len(parts) > 1 and (SRC / f"{parts[1]}.py").is_file():
+                out.add(parts[1])
+    return out
+
+
+GRAPH = {path.stem: _package_imports(path) for path in SRC.glob("*.py")}
+
+
+def test_the_import_graph_covers_the_package():
+    assert set(ARITHMETIC) | RATIONAL | {"cli", "errors"} <= set(GRAPH)
+    assert "signs" in GRAPH["cli"] and "freeprod" in GRAPH["gaps"]
+
+
+@pytest.mark.parametrize("module", ARITHMETIC)
+def test_arithmetic_layer_imports_no_rational_layer(module):
+    reached, todo = set(), [module]
+    while todo:
+        for name in GRAPH[todo.pop()] - reached:
+            reached.add(name)
+            todo.append(name)
+    assert not reached & RATIONAL, sorted(reached & RATIONAL)

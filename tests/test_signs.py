@@ -1,13 +1,22 @@
-"""Sign models, the product split, and positivization of rational sets."""
+"""Sign models and the product split (the reference in ``oracle_signs``),
+and positivization of rational sets."""
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracle_boolean import difference
 from oracle_signs import (
+    STANDARD_F2_SIGN,
+    NotPositivePair,
+    SignModel,
     deepest_negative_by_enumeration,
+    first_negative_index,
+    is_positive,
+    last_negative_index,
     positive_universe,
     positive_witness_by_difference,
+    split_product,
+    standard_sign,
 )
 
 from freerat import signs
@@ -24,17 +33,9 @@ from freerat.ratexpr import (
 )
 from freerat.signs import (
     NotPositiveError,
-    SignModel,
-    SplitTrace,
-    STANDARD_F2_SIGN,
     deepest_negative,
-    first_negative_index,
-    is_positive,
-    last_negative_index,
     positive_witness,
     positivize,
-    split_product,
-    standard_sign,
 )
 from freerat.words import IDENTITY, Word, parse_word
 
@@ -83,6 +84,20 @@ def test_is_positive_frozen():
 def test_is_positive_wrong_group():
     with pytest.raises(ValueError):
         is_positive(mel(("a", 1)), SIG)
+
+
+def test_fp_is_positive_is_the_standard_sign():
+    assert G.identity.is_positive()
+    assert el(("a", 2), ("b", 1)).is_positive()
+    assert not el(("a", 2), ("b", -1)).is_positive()
+    assert mel(("a", 1), ("b", 3)).is_positive()  # every residue of ℤ/6
+    assert not mel(("a", -1), ("b", 3)).is_positive()
+    rng = random.Random(20261019)
+    for group in (G, MIXED, FreeProduct(4, 6)):
+        sign = standard_sign(group)
+        for _ in range(2000):
+            u = _random_any(rng, group, sign, max_syllables=5)
+            assert u.is_positive() == is_positive(u, sign)
 
 
 def _random_positive(rng, group, sign, max_syllables=4):
@@ -157,7 +172,7 @@ def test_split_single_pair_contract():
 
 
 def test_split_precondition_reports_pair():
-    with pytest.raises(NotPositiveError) as exc:
+    with pytest.raises(NotPositivePair) as exc:
         split_product([el(("a", -1))], [el(("b", 1))], SIG)
     s, t = exc.value.witness
     assert not is_positive(s * t, SIG)

@@ -16,7 +16,6 @@ from freerat.freeprod import (
     to_f2,
 )
 from freerat.errors import GaveUp
-from freerat.gaps import family_member
 from freerat.verbal import (
     AbelianizedVerbal,
     CommonSupportCase,
@@ -34,6 +33,7 @@ from freerat.verbal import (
 )
 from freerat.words import IDENTITY, Word, exponent_profile, parse_word, root_extract, substitute
 
+from oracle_gaps import family_member
 from oracle_verbal import lattice_index, two_square_decomposition
 
 W = parse_word

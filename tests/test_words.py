@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_words import bezout_substitution
 
 from freerat.words import (
     IDENTITY,
@@ -12,7 +13,6 @@ from freerat.words import (
     Word,
     WordClass,
     bezout_coefficients,
-    bezout_substitution,
     classify,
     cyclic_reduce,
     exponent_gcd,
