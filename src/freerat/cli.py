@@ -378,13 +378,22 @@ def _refute(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ``ValueError``, so it ends like any other
+    invalid input: one ``error:`` line and exit status 1.  Subparsers are
+    built with the class of their parent, so they raise it too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _add_group_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--a-mod", type=int, default=None, help="modulus of the a factor (default: infinite)")
     parser.add_argument("--b-mod", type=int, default=None, help="modulus of the b factor (default: infinite)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freerat",
         description="rational subsets, positivity and verbal sets in free groups",
     )
@@ -520,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

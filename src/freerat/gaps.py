@@ -43,9 +43,6 @@ class GapProfile:
     b: Syllable
     table: tuple[tuple[int, tuple[int, int]], ...]
 
-    def as_dict(self) -> dict[int, tuple[int, int]]:
-        return dict(self.table)
-
     def max_k(self) -> int:
         return max((k for k, _ in self.table), default=0)
 

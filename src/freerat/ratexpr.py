@@ -19,15 +19,6 @@ class RatExpr:
 
     complexity: int
 
-    def __mul__(self, other: "RatExpr") -> "RatExpr":
-        return Product(self, other)
-
-    def __or__(self, other: "RatExpr") -> "RatExpr":
-        return Union(self, other)
-
-    def star(self) -> "RatExpr":
-        return Star(self)
-
     def __repr__(self) -> str:
         return f"RatExpr({format_ratexpr(self)!r})"
 
@@ -84,11 +75,6 @@ EPSILON = Finite([IDENTITY])
 
 def complexity(expr: RatExpr) -> int:
     return expr.complexity
-
-
-def finite(*words: str | Word) -> Finite:
-    """Convenience leaf constructor accepting words or word-grammar text."""
-    return Finite(w if isinstance(w, Word) else parse_word(w) for w in words)
 
 
 def leaf_words(expr: RatExpr) -> set[Word]:

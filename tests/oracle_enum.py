@@ -6,14 +6,20 @@ breadth-first, keeping partial products up to ``max_len + slack``
 letters, so factor pairs that overshoot the cap before cancelling back
 under it are still found.  The slack covers an overshoot of one step, so
 the result can miss members on other inputs; the corpora the tests use
-are ones where it is complete.
+are ones where it is complete.  ``finite`` builds the leaves of the test
+corpora from word text.
 """
 from __future__ import annotations
 
 from typing import Optional
 
 from freerat.ratexpr import Finite, Product, RatExpr, Star, Union, leaf_words
-from freerat.words import IDENTITY, Word
+from freerat.words import IDENTITY, Word, parse_word
+
+
+def finite(*words: str | Word) -> Finite:
+    """A Finite leaf from words or word-grammar text."""
+    return Finite(w if isinstance(w, Word) else parse_word(w) for w in words)
 
 
 def _product_join(left: set[Word], right: set[Word], cap: int) -> set[Word]:

@@ -5,13 +5,19 @@ the scan it replaced, one pass per syllable, kept as an independent check.
 ``random_element`` and ``scan_report`` are the scan as it was first
 written, drawing through ``randrange``, ``randint`` and ``choice``.
 ``family_member`` builds the n-th member of ``gaps.unbounded_family`` on
-its own, from the powers vᵏ rather than the running prefix."""
+its own, from the powers vᵏ rather than the running prefix.
+``profile_dict`` reads a gap profile's table as a dict."""
 import random
 from collections import Counter
 from typing import Optional
 
 from freerat.freeprod import FPElement, fp_substitute
-from freerat.gaps import ScanRecord, ScanReport, gap_profile
+from freerat.gaps import GapProfile, ScanRecord, ScanReport, gap_profile
+
+
+def profile_dict(profile: GapProfile) -> dict[int, tuple[int, int]]:
+    """k -> (δ_{b,k}, δ_{b⁻¹,k}) for the nonzero pairs of ``profile``."""
+    return dict(profile.table)
 
 
 def family_member(

@@ -564,6 +564,31 @@ def test_parse_errors_carry_positions(capsys):
     assert "position 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rat", "member", "--a-mod", "2", "--expr", "(fin x1)", "--word", "x1"], "unrecognized arguments: --a-mod 2"),
+        (["rat", "enumerate", "--expr", "(fin x1)", "--cap-len", "six"], "argument --cap-len: invalid int value: 'six'"),
+        (["rat", "member", "--word", "x1"], "the following arguments are required: --expr"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["unknown-flag", "non-integer", "missing-flag", "bad-command", "empty-argv"],
+)
+def test_usage_errors_exit_1_with_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["word", "reduce", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: freerat word reduce")
+
+
 def _nested_stars(depth):
     return "(star " * depth + "(fin x1)" + ")" * depth
 

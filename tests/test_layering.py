@@ -1,7 +1,11 @@
 """The arithmetic layers (words, free products, gaps, verbal sets) import
 nothing from the rational-set layers built on them, directly or through
-another module of the package."""
+another module of the package, and importing one at run time loads none
+of them."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +54,17 @@ def test_arithmetic_layer_imports_no_rational_layer(module):
             reached.add(name)
             todo.append(name)
     assert not reached & RATIONAL, sorted(reached & RATIONAL)
+
+
+@pytest.mark.parametrize("module", ARITHMETIC)
+def test_arithmetic_layer_loads_no_rational_layer(module):
+    # a fresh interpreter, so that no module loaded by another test counts
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    code = (
+        f"import sys, freerat.{module}; "
+        "print(' '.join(n.split('.')[1] for n in sys.modules if n.startswith('freerat.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert module in loaded
+    assert not loaded & RATIONAL, sorted(loaded & RATIONAL)

@@ -30,7 +30,6 @@ from freerat.ratexpr import (
     complexity,
     _map_leaves,
     conjugate_expr,
-    finite,
     format_ratexpr,
     leaf_words,
     parse_ratexpr,
@@ -44,7 +43,7 @@ from oracle_boolean import (
     intersect,
     is_empty,
 )
-from oracle_enum import enumerate_bounded
+from oracle_enum import enumerate_bounded, finite
 from oracle_refute import Summand, standard_form
 from oracle_saturate import CORPUS as SATURATE_CORPUS, acceptor_to_json
 from oracle_signs import positive_universe

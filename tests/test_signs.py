@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracle_boolean import difference
+from oracle_enum import finite
 from oracle_signs import (
     STANDARD_F2_SIGN,
     NotPositivePair,
@@ -28,7 +29,6 @@ from freerat.ratexpr import (
     Star,
     Union,
     conjugate_expr,
-    finite,
     leaf_words,
 )
 from freerat.signs import (
