@@ -17,17 +17,18 @@ nontrivial strongly connected component (more than one state, or a
 self-loop) is a starred factor, classified by
 :func:`freerat.verbal.support_dichotomy_check` on its first-return loops:
 single-axis factors contribute power blocks, common-support factors
-contribute their closed support K, and the letter runs on edges between
-components are the coefficients, also in K.  A path through m such
-components factors into at most n = 2m+1 alternating (support-word,
-axis-power) pairs.  The witness word (x₁ᵗx₂)^{l·e} with t above every
-a-exponent of K and l = n+1 has too many axis runs to factor that way, yet
-is always a value of w.
+bound the x₁-runs and x₂-runs of support words by the longest syllables
+of their support, and the letter runs on edges between components are
+the coefficients, bounded the same way.  A path through m such components
+factors into at most n = 2m+1 alternating (support-word, axis-power)
+pairs.  The witness word (x₁ᵗx₂)^{l·e} with t one above the x₁-run bound
+and l = n+1 has too many long x₁-runs to factor that way, yet is always a
+value of w.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import groupby
 
 from freerat.automata import (
     Acceptor,
@@ -37,7 +38,7 @@ from freerat.automata import (
     shortest_accepted,
     strong_components,
 )
-from freerat.freeprod import Syllable, from_f2, to_f2
+from freerat.freeprod import from_f2, to_f2
 from freerat.ratexpr import RatExpr, format_ratexpr, parse_ratexpr
 from freerat.verbal import (
     CommonSupportCase,
@@ -66,35 +67,29 @@ _AXIS = {1: "a", 2: "b"}
 class DecompositionScheme:
     """Constraints every member of the candidate language must satisfy:
     a factorization into at most n (support-word, axis-power) block pairs,
-    where support words use only the syllables in ``support``."""
+    where a support word has no x₁-run longer than a and no x₂-run longer
+    than b.
 
-    support: frozenset[Syllable]
+    Two bounds carry the whole support set, because every set the refuter
+    builds is closed downward in each letter: a run of k letters along
+    edges between components gives (letter, 1..k), and a common support's
+    closure in ℤ∗ℤ gives (f, 1..s) for its longest syllable (f, s)."""
+
+    a: int
+    b: int
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("block count must be at least 1")
-        for fid, k in self.support:
-            if fid not in ("a", "b") or k < 1:
-                raise ValueError(f"support syllables must be positive, got {(fid, k)}")
+        for name, value, low in (("a", self.a, 0), ("b", self.b, 0), ("n", self.n, 1)):
+            if type(value) is not int or value < low:
+                raise ValueError(f"scheme {name} must be an integer >= {low}, got {value!r}")
 
     def as_json(self) -> dict:
-        return {"support": sorted([f, k] for f, k in self.support), "n": self.n}
+        return {"a": self.a, "b": self.b, "n": self.n}
 
     @staticmethod
     def from_json(data: dict) -> "DecompositionScheme":
-        return DecompositionScheme(
-            frozenset((f, k) for f, k in data["support"]), data["n"]
-        )
-
-
-class BranchRefuted(Exception):
-    """A starred factor admits a certified non-value inside the candidate."""
-
-    def __init__(self, case: RefutedCase, component: int):
-        self.case = case
-        self.component = component
-        super().__init__(f"starred factor of component {component} refuted")
+        return DecompositionScheme(data["a"], data["b"], data["n"])
 
 
 def positive_dfa(expr: RatExpr) -> Acceptor:
@@ -153,17 +148,17 @@ def _entry_loops(acc: Acceptor, component: list[int], cap: int) -> tuple[int, li
 
 def _analyze(
     acc: Acceptor, w: Word, enum_cap: int, probe_depth: int
-) -> tuple[DecompositionScheme, list[dict]]:
+) -> tuple[DecompositionScheme, list[dict]] | tuple[int, RefutedCase]:
     """Block constraints of the language of a minimal positive DFA, with
-    one record per classified nontrivial component.
+    one record per classified nontrivial component; or, at the first
+    component that contains a certified non-value, its number and case.
 
     Components are numbered by their first state.  Each is classified
     through its first-return loops of length <= enum_cap, between the
     shortest string to its entry state and the shortest from there to a
-    final state, and contributes its closed common support, or nothing when
-    it is a single-axis power set.  Letter runs along edges between
-    components enter the support set.  Raises :class:`BranchRefuted` when a
-    component contains a certified non-value.
+    final state.  A common support raises the run bounds to its longest
+    syllables; a single-axis power set leaves them.  Letter runs along
+    edges between components raise them too.
     """
     components, looping = loop_components(acc)
     comp_of = [0] * acc.n_states
@@ -188,7 +183,9 @@ def _analyze(
     run: dict[tuple[int, int], int] = {}
     for p, a, q in reversed(between):
         run[a, q] = max(run.get((a, q), 0), run.get((a, p), 0) + 1)
-    support = {(_AXIS[a], k) for (a, _), top in run.items() for k in range(1, top + 1)}
+    bound = {"a": 0, "b": 0}
+    for (a, _), top in run.items():
+        bound[_AXIS[a]] = max(bound[_AXIS[a]], top)
 
     branches: list[dict] = []
     nontrivial = sorted((min(m), m) for m, loops in zip(components, looping) if loops)
@@ -202,19 +199,15 @@ def _analyze(
             [from_f2(Word(u)) for u in loops], from_f2(Word(p)), from_f2(Word(q)), w,
             budget=probe_depth,
         )
-        record = {"component": i, "probe_depth": probe_depth}
         if isinstance(case, SingleAxisCase):
-            record["kind"] = "single-axis"
-            record["axis"] = case.axis
+            branches.append({"component": i, "kind": "single-axis", "axis": case.axis})
         elif isinstance(case, CommonSupportCase):
-            record["kind"] = "common-support"
-            record["syllables"] = sorted([f, k] for f, k in case.syllables)
-            support.update(case.syllables)
+            top = {x: max(k for f, k in case.syllables if f == x) for x in bound}
+            branches.append({"component": i, "kind": "common-support", **top})
+            bound = {x: max(bound[x], top[x]) for x in bound}
         else:
-            assert isinstance(case, RefutedCase)
-            raise BranchRefuted(case, i)
-        branches.append(record)
-    return DecompositionScheme(frozenset(support), n), branches
+            return i, case
+    return DecompositionScheme(bound["a"], bound["b"], n), branches
 
 
 @dataclass(frozen=True)
@@ -245,76 +238,45 @@ class WitnessCertificate:
 def witness_word(w: Word, scheme: DecompositionScheme) -> WitnessCertificate:
     """The canonical value no scheme-shaped language member can equal.
 
-    t exceeds every a-axis exponent in the support set, so x₁ᵗ fits in no
-    support word; l = n+1 makes the witness contain more x₂ letters than
-    2n block segments can cover.
+    t = a + 1 exceeds the x₁-run bound, so every run x₁ᵗ is long and fits
+    in no support word; l = n+1 gives the witness l·e >= 2n+2 long runs,
+    more than n pairs can hold (see :func:`decomposable`).
     """
     if exponent_gcd(w) < 2:
         raise ValueError("witness construction needs exponent gcd >= 2")
-    t = 1 + max((k for f, k in scheme.support if f == "a"), default=0)
+    t = scheme.a + 1
     l = scheme.n + 1
     return _power_certificate(w, (Word([1] * t) * Word([2])) ** l, t, l)
 
 
 def decomposable(u: Word, scheme: DecompositionScheme) -> tuple[bool, dict]:
-    """Whether u splits as s₁t₁…sₙtₙ with supp(sᵢ) ⊆ support and tᵢ an
-    axis power (either sign of block may be empty).
+    """Whether u splits as s₁t₁…sₙtₙ with each sᵢ a support word (no run
+    longer than its letter's bound) and each tᵢ an axis power (either sign
+    of block may be empty).  Returns the verdict with a replay trace.
 
-    Positive words concatenate without cancellation, so searching letter
-    split points is exact.  Returns the verdict with a replay trace.
+    Call a run of u long when it is longer than its letter's bound.  A
+    long run lies in no support word, so some tᵢ meets it: tᵢ holds some
+    of its letters, or tᵢ is empty at a point strictly inside it.  A tᵢ
+    meets at most one run, so each long run needs a pair of its own.  The
+    last block tₙ ends u, so it meets a long run only when u ends in one;
+    a word that does not needs one more pair for its tail.  That count of
+    pairs also suffices: the k-th long run is tₖ, sₖ the short runs before
+    it, and the short runs after the last long run are the tail's support
+    word.  So u splits into n pairs exactly when the count is at most n; a
+    word with no long run needs one pair.
     """
     letters = u.letters
     if any(a < 0 for a in letters):
         raise ValueError("block decomposition is defined for positive words")
-    N = len(letters)
-    K = scheme.support
-
-    def s_targets(i: int) -> list[int]:
-        # splits j: every complete syllable of letters[i:j] lies in K
-        out = [i]
-        run_letter, run_len = 0, 0
-        for j in range(i, N):
-            a = letters[j]
-            if a == run_letter:
-                run_len += 1
-            else:
-                if run_letter and (_AXIS[run_letter], run_len) not in K:
-                    break
-                run_letter, run_len = a, 1
-            if (_AXIS[a], run_len) in K:
-                out.append(j + 1)
-        return out
-
-    def t_targets(j: int) -> list[int]:
-        out = [j]
-        if j < N:
-            a = letters[j]
-            k = j
-            while k < N and letters[k] == a:
-                k += 1
-                out.append(k)
-        return out
-
-    s_table = [s_targets(i) for i in range(N + 1)]
-
-    @lru_cache(maxsize=None)
-    def ok(i: int, remaining: int) -> bool:
-        if i == N:
-            return True
-        if remaining == 0:
-            return False
-        for j in s_table[i]:
-            for k in t_targets(j):
-                if ok(k, remaining - 1):
-                    return True
-        return False
-
-    verdict = ok(0, scheme.n)
+    bound = {1: scheme.a, 2: scheme.b}
+    long = [sum(1 for _ in run) > bound[a] for a, run in groupby(letters)]
+    pairs = sum(long) + (not long or not long[-1])
+    verdict = pairs <= scheme.n
     trace = {
         "decomposable": verdict,
         "scheme": scheme.as_json(),
         "letters": len(letters),
-        "states_explored": ok.cache_info().currsize,
+        "pairs_needed": pairs,
     }
     return verdict, trace
 
@@ -389,10 +351,10 @@ def refute(
         raise ValueError("exponent gcd 1: every element is a value, nothing to refute")
 
     acc = positive_dfa(expr)
-    try:
-        scheme, branches = _analyze(acc, w, enum_cap, probe_depth)
-    except BranchRefuted as br:
-        return _foreign_report(w, expr, acc, br, foreign_cap)
+    analysis = _analyze(acc, w, enum_cap, probe_depth)
+    if isinstance(analysis[1], RefutedCase):
+        return _foreign_report(w, expr, acc, *analysis, foreign_cap)
+    scheme, branches = analysis
 
     if scheme.n == 1:
         # No looping component, so a finite positive part: powers of x₁
@@ -449,7 +411,7 @@ def _scheme_report(
 
 
 def _foreign_report(
-    w: Word, expr: RatExpr, acc: Acceptor, br: BranchRefuted, foreign_cap: int
+    w: Word, expr: RatExpr, acc: Acceptor, component: int, case: RefutedCase, foreign_cap: int
 ) -> RefutationReport:
     # Prefer the shortest accepted string with an exact non-value proof.
     for string in enumerate_accepted(acc, foreign_cap):
@@ -464,20 +426,9 @@ def _foreign_report(
             }
             return RefutationReport(w, expr, "foreign-element", g, True, certificate)
 
-    # Fall back to the refuted component's family members (embedded
-    # between the strings to and from its entry state, hence accepted).
-    case = br.case
-    candidates = [to_f2(m) for m in case.family.members]
-    for g in candidates:
-        cert = certify_nonvalue(w, g)
-        if cert is not None and acc.accepts_word(g):
-            certificate = {
-                "kind": "foreign-element",
-                "nonvalue": cert,
-                "accepted": True,
-                "source": {"component": br.component},
-            }
-            return RefutationReport(w, expr, "foreign-element", g, True, certificate)
+    # Fall back to the refuted component's member, the first with an exact
+    # certificate when one has: the string to the component's entry state,
+    # loops there, then the string to a final state, hence accepted.
     g = to_f2(case.witness)
     if not acc.accepts_word(g):
         raise RuntimeError("refuted-branch witness not accepted; embedding bug")
@@ -485,10 +436,11 @@ def _foreign_report(
         "kind": "foreign-element",
         "nonvalue": case.certificate,
         "accepted": True,
-        "source": {"component": br.component},
-        "heuristic_note": "gap-growth evidence without an exact non-value proof",
+        "source": {"component": component},
     }
-    return RefutationReport(w, expr, "foreign-element", g, False, certificate)
+    if not case.exact:
+        certificate["heuristic_note"] = "gap-growth evidence without an exact non-value proof"
+    return RefutationReport(w, expr, "foreign-element", g, case.exact, certificate)
 
 
 # -- certificate replay -----------------------------------------------------

@@ -381,16 +381,21 @@ def support_dichotomy_check(
         common = supports.pop()
         return CommonSupportCase(_divisor_closure(group, common), budget)
 
-    return _refute_dichotomy(probe, p, q, w, budget)
+    return _refute_dichotomy(cores, p, q, w, budget)
 
 
 def _refute_dichotomy(
-    probe: set[FPElement], p: FPElement, q: FPElement, w: Word, budget: int
+    cores: dict[FPElement, FPElement], p: FPElement, q: FPElement, w: Word, budget: int
 ) -> RefutedCase:
+    """The certified member of a family grown from the first probe pair
+    (v, u) in sorted order with v's cyclic core of length >= 2 and supp(u)
+    not inside supp(v); ``cores`` maps each probe element to its core."""
     e = exponent_gcd(w)
-    for v in sorted(u for u in probe if len(cyclic_form(u)) >= 2):
-        for u in sorted(probe):
-            if support(cyclic_form(u)) - support(cyclic_form(v)):
+    probe = sorted(cores)
+    supports = {u: support(core) for u, core in cores.items()}
+    for v in [v for v in probe if len(cores[v]) >= 2]:
+        for u in probe:
+            if supports[u] - supports[v]:
                 family = unbounded_family(p, u, v, q, n_max=max(4, budget), e=e)
                 return _certified_member(family, w)
     raise GaveUp(f"no refuting pair found within the probe depth of {budget}")

@@ -1,8 +1,8 @@
 """Brute-force oracle for block decomposability of positive words.
 
 Enumerates every nondecreasing tuple of 2n-1 interior split points and
-checks the resulting segments directly, with no memoization or pruning
-shared with the production dynamic program.
+checks the resulting segments directly against a set of support
+syllables, sharing nothing with the production run count.
 """
 from __future__ import annotations
 

@@ -4,9 +4,10 @@ An expression whose leaves are all positive words denotes positive words
 only, and distributing its unions out of its products gives a union of
 sandwiches a₁E₁*a₂…a_tE_t*a_{t+1}.  :func:`refute_by_standard_form` reads
 the block scheme off those summands: n = 2·(most starred factors in one
-summand) + 1, the coefficients' syllables enter the support set, and each
-starred factor is classified by ``support_dichotomy_check`` on the members
-of its base up to ``enum_cap`` letters.  Everything after the scheme (the
+summand) + 1, the coefficients' longest syllables bound the runs of
+support words, and each starred factor is classified by
+``support_dichotomy_check`` on the members of its base up to ``enum_cap``
+letters.  Everything after the scheme (the
 witness, the finite case, the foreign-element search) is the refuter's.
 The expansion is exponential in the nesting of unions under products, so
 keep the expressions small.
@@ -17,7 +18,6 @@ from freerat.automata import enumerate_accepted, reduced_acceptor
 from freerat.freeprod import FREE_ZZ, from_f2
 from freerat.ratexpr import EMPTY, Finite, Product, RatExpr, Star, Union, leaf_words
 from freerat.refuter import (
-    BranchRefuted,
     DecompositionScheme,
     RefutationReport,
     _foreign_report,
@@ -86,18 +86,19 @@ def _summands(expr: RatExpr) -> list[Summand]:
 
 def analyze_standard_form(
     sf: StandardForm, w: Word, enum_cap: int, probe_depth: int
-) -> tuple[DecompositionScheme, list[dict]]:
+) -> tuple[DecompositionScheme, list[dict]] | tuple[int, RefutedCase]:
     """Block constraints of a positive standard form, with one record per
-    classified starred factor; raises ``BranchRefuted`` (its component is
-    the running index of the starred factor) on a refuted factor."""
-    support = set()
+    classified starred factor; or, at a refuted factor, its running index
+    among the starred factors and its case."""
+    bound = {"a": 0, "b": 0}
     branches = []
     n = 1
     index = 0
     for si, summand in enumerate(sf.summands):
         n = max(n, 2 * len(summand.stars) + 1)
         for coeff in summand.coefficients:
-            support.update(from_f2(coeff).syllables)
+            for f, k in from_f2(coeff).syllables:
+                bound[f] = max(bound[f], k)
         for bi, base in enumerate(summand.stars):
             index += 1
             strings = enumerate_accepted(reduced_acceptor(base), enum_cap)
@@ -113,19 +114,17 @@ def analyze_standard_form(
             case = support_dichotomy_check(
                 [from_f2(u) for u in words], p, q, w, budget=probe_depth
             )
-            record = {"summand": si, "star": bi, "probe_depth": probe_depth}
+            record = {"summand": si, "star": bi}
             if isinstance(case, SingleAxisCase):
-                record["kind"] = "single-axis"
-                record["axis"] = case.axis
+                record.update(kind="single-axis", axis=case.axis)
             elif isinstance(case, CommonSupportCase):
-                record["kind"] = "common-support"
-                record["syllables"] = sorted([f, k] for f, k in case.syllables)
-                support.update(case.syllables)
+                top = {x: max(k for f, k in case.syllables if f == x) for x in bound}
+                record.update(kind="common-support", **top)
+                bound = {x: max(bound[x], top[x]) for x in bound}
             else:
-                assert isinstance(case, RefutedCase)
-                raise BranchRefuted(case, index - 1)
+                return index - 1, case
             branches.append(record)
-    return DecompositionScheme(frozenset(support), n), branches
+    return DecompositionScheme(bound["a"], bound["b"], n), branches
 
 
 def refute_by_standard_form(
@@ -139,8 +138,7 @@ def refute_by_standard_form(
     acc = positive_dfa(expr)
     if not any(loop_components(acc)[1]):
         return refute(expr, w, enum_cap=enum_cap, probe_depth=probe_depth, foreign_cap=foreign_cap)
-    try:
-        scheme, branches = analyze_standard_form(standard_form(expr), w, enum_cap, probe_depth)
-    except BranchRefuted as br:
-        return _foreign_report(w, expr, acc, br, foreign_cap)
-    return _scheme_report(w, expr, acc, scheme, branches)
+    analysis = analyze_standard_form(standard_form(expr), w, enum_cap, probe_depth)
+    if isinstance(analysis[1], RefutedCase):
+        return _foreign_report(w, expr, acc, *analysis, foreign_cap)
+    return _scheme_report(w, expr, acc, *analysis)

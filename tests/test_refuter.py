@@ -2,12 +2,12 @@
 end-to-end refutation reports with certificate replay."""
 import json
 import random
+from itertools import product
 
 import pytest
 
 from freerat.ratexpr import Finite, Product, Star, Union
 from freerat.refuter import (
-    BranchRefuted,
     DecompositionScheme,
     _analyze,
     _entry_loops,
@@ -33,55 +33,54 @@ def extract_scheme(expr, w):
     return s
 
 
-def scheme(syllables, n):
-    return DecompositionScheme(frozenset(syllables), n)
+def scheme(a, b, n):
+    return DecompositionScheme(a, b, n)
 
 
 # -- decomposition schemes --------------------------------------------------
 
 
 def test_scheme_validation():
-    with pytest.raises(ValueError, match="block count"):
-        scheme([], 0)
-    with pytest.raises(ValueError, match="positive"):
-        scheme([("a", -1)], 1)
-    with pytest.raises(ValueError, match="positive"):
-        scheme([("c", 1)], 1)
+    with pytest.raises(ValueError, match="scheme n"):
+        scheme(0, 0, 0)
+    with pytest.raises(ValueError, match="scheme a"):
+        scheme(-1, 0, 1)
+    with pytest.raises(ValueError, match="scheme b"):
+        scheme(0, 1.5, 1)
 
 
 def test_scheme_json_roundtrip():
-    s = scheme([("a", 2), ("b", 1)], 3)
+    s = scheme(2, 1, 3)
     assert DecompositionScheme.from_json(s.as_json()) == s
 
 
 def test_extract_scheme_frozen():
     # lone star over one axis: no support, three blocks
     s = extract_scheme(Star(Finite([SQ])), SQ)
-    assert s == scheme([], 3)
-    # coefficient in front adds its syllable
+    assert s == scheme(0, 0, 3)
+    # coefficient in front bounds its letter's runs
     s = extract_scheme(Product(Finite([W("x1")]), Star(Finite([W("x2")]))), SQ)
-    assert s == scheme([("a", 1)], 3)
+    assert s == scheme(1, 0, 3)
     # two looping components on one path: five blocks; the edge between
     # them reads the first x2
     s = extract_scheme(Product(Star(Finite([W("x1")])), Star(Finite([W("x2")]))), SQ)
-    assert s == scheme([("b", 1)], 5)
-    # a finite part alone: one block, the closed letter runs of its word
+    assert s == scheme(0, 1, 5)
+    # a finite part alone: one block, the longest letter runs of its word
     s = extract_scheme(Finite([W("x1^2 x2")]), SQ)
-    assert s == scheme([("a", 1), ("a", 2), ("b", 1)], 1)
-    # common-support loop contributes its closed support
+    assert s == scheme(2, 1, 1)
+    # common-support loop contributes the longest syllables of its support
     s = extract_scheme(Star(Finite([W("x1 x2^2")])), SQ)
-    assert s == scheme([("a", 1), ("b", 1), ("b", 2)], 3)
-    # the empty set: one block, no support
+    assert s == scheme(1, 2, 3)
+    # the empty set: one block, no runs
     s = extract_scheme(Finite([W("x1^-1")]), SQ)
-    assert s == scheme([], 1)
+    assert s == scheme(0, 0, 1)
 
 
-def test_extract_scheme_refuted_branch_raises():
+def test_extract_scheme_returns_refuted_branch():
     expr = Star(Finite([W("x1 x2"), W("x1 x2^2")]))
-    with pytest.raises(BranchRefuted) as err:
-        extract_scheme(expr, SQ)
-    assert err.value.case.exact
-    assert err.value.component == 0
+    component, case = _analyze(positive_dfa(expr), SQ, enum_cap=6, probe_depth=3)
+    assert case.exact
+    assert component == 0
 
 
 def test_loop_read_at_the_entry_state_with_fewest_first_returns():
@@ -125,76 +124,69 @@ def test_loop_components_finish_after_what_they_reach():
 
 
 def test_witness_word_frozen():
-    wc = witness_word(SQ, scheme([("a", 1), ("b", 1)], 3))
+    wc = witness_word(SQ, scheme(1, 1, 3))
     assert (wc.t, wc.l, wc.e) == (2, 4, 2)
     assert wc.base == W("x1^2 x2") ** 4
     assert wc.u == wc.base**2 and len(wc.u.letters) == 24
     assert substitute(SQ, wc.images) == wc.u
-    wc = witness_word(SQ, scheme([], 1))
+    wc = witness_word(SQ, scheme(0, 0, 1))
     assert (wc.t, wc.l) == (1, 2) and wc.u == W("x1 x2") ** 4
 
 
 def test_witness_word_multivariable():
     w = W("x1^2 x2^4")  # exponent gcd 2
-    wc = witness_word(w, scheme([("a", 3)], 2))
+    wc = witness_word(w, scheme(3, 0, 2))
     assert wc.t == 4 and wc.e == 2
     assert substitute(w, wc.images) == wc.u == wc.base**2
 
 
 def test_witness_word_rejects_small_gcd():
     with pytest.raises(ValueError):
-        witness_word(W("x1 x2"), scheme([], 1))
+        witness_word(W("x1 x2"), scheme(0, 0, 1))
 
 
 # -- block decomposability --------------------------------------------------
 
 
 def test_decomposable_frozen():
-    assert decomposable(W("x1^3"), scheme([("a", 1)], 1))[0]
-    assert decomposable(W("x1^3"), scheme([], 1))[0]  # one axis power block
-    assert not decomposable(W("x1 x2 x1 x2"), scheme([], 1))[0]
-    assert not decomposable(W("x1 x2 x1 x2"), scheme([], 2))[0]
-    assert decomposable(W("x1 x2 x1 x2"), scheme([], 4))[0]
-    assert decomposable(W("x1 x2 x1 x2"), scheme([("a", 1), ("b", 1)], 1))[0]
+    assert decomposable(W("x1^3"), scheme(1, 0, 1))[0]
+    assert decomposable(W("x1^3"), scheme(0, 0, 1))[0]  # one axis power block
+    assert not decomposable(W("x1 x2 x1 x2"), scheme(0, 0, 1))[0]
+    assert not decomposable(W("x1 x2 x1 x2"), scheme(0, 0, 2))[0]
+    assert decomposable(W("x1 x2 x1 x2"), scheme(0, 0, 4))[0]
+    assert decomposable(W("x1 x2 x1 x2"), scheme(1, 1, 1))[0]
     # support word bridging partial runs around an axis block
-    assert decomposable(W("x1^3 x2 x1^3"), scheme([("a", 1), ("b", 1)], 2))[0]
+    assert decomposable(W("x1^3 x2 x1^3"), scheme(1, 1, 2))[0]
 
 
 def test_decomposable_rejects_negative_letters():
     with pytest.raises(ValueError):
-        decomposable(W("x1^-1"), scheme([], 1))
+        decomposable(W("x1^-1"), scheme(0, 0, 1))
 
 
 def test_decomposable_trace_is_replayable():
-    verdict, trace = decomposable(W("x1 x2 x1 x2"), scheme([("a", 1)], 2))
+    verdict, trace = decomposable(W("x1 x2 x1 x2"), scheme(1, 0, 2))
     restored = DecompositionScheme.from_json(trace["scheme"])
     assert decomposable(W("x1 x2 x1 x2"), restored)[0] == verdict == trace["decomposable"]
 
 
 def test_decomposable_matches_brute_force():
-    rng = random.Random(17)
-    pool = [("a", 1), ("a", 2), ("b", 1), ("b", 2)]
-    for _ in range(300):
-        letters = []
-        while len(letters) < rng.randrange(1, 13):
-            a = rng.choice([1, 2])
-            letters.extend([a] * rng.randrange(1, 4))
-        u = Word(letters[:12])
-        if not u.letters:
-            continue
-        support = frozenset(s for s in pool if rng.random() < 0.5)
-        n = rng.randrange(1, 4)
-        got, _ = decomposable(u, DecompositionScheme(support, n))
-        assert got == brute_decomposable(u, support, n)
+    # every positive word of <= 7 letters, against the closed support sets
+    # of run bounds 0..2, split into 1..3 pairs
+    for length in range(8):
+        for letters in product((1, 2), repeat=length):
+            u = Word(letters)
+            for a, b, n in product(range(3), range(3), range(1, 4)):
+                support = [("a", k) for k in range(1, a + 1)] + [("b", k) for k in range(1, b + 1)]
+                got, trace = decomposable(u, scheme(a, b, n))
+                assert got == brute_decomposable(u, support, n), (letters, a, b, n)
+                assert got == (trace["pairs_needed"] <= n)
 
 
 def test_refutation_witness_never_decomposes():
     rng = random.Random(23)
-    pool = [("a", 1), ("a", 2), ("a", 3), ("b", 1), ("b", 2)]
     for _ in range(60):
-        support = frozenset(s for s in pool if rng.random() < 0.5)
-        n = rng.randrange(1, 5)
-        s = DecompositionScheme(support, n)
+        s = scheme(rng.randrange(4), rng.randrange(3), rng.randrange(1, 5))
         wc = witness_word(SQ, s)
         assert not decomposable(wc.u, s)[0]
 
@@ -291,6 +283,20 @@ def test_replay_rejects_tampered_reports():
     bad = json.loads(json.dumps(report))
     bad["certificate"]["transcript"]["images"][0] = "x1"
     assert not replay_report(bad)
+
+
+def test_replay_rejects_a_block_count_that_decomposes_the_witness():
+    # a large n would let the witness split, so the report must not replay;
+    # it must answer False, not run out of stack
+    report = refute(Star(Finite([W("x1 x2") ** 4])), SQ).as_json()
+    assert report["outcome"] == "inconsistent-branch" and replay_report(report)
+    for edit in (
+        lambda s: s.update(n=5000),
+        lambda s: s.update(a=-1),
+        lambda s: s.update(a=1.5),
+        lambda s: s.pop("a"),
+    ):
+        assert not replay_report(_edited(report, lambda r: edit(r["certificate"]["decomposition"]["scheme"])))
 
 
 def _edited(report, edit):
