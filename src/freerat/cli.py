@@ -328,13 +328,9 @@ def _verbal_dichotomy(args) -> int:
     q = parse_fp(args.q, group)
     case = support_dichotomy_check(E, p, q, w, budget=args.budget)
     if isinstance(case, SingleAxisCase):
-        result = {"case": "single-axis", "axis": case.axis, "probe_depth": case.probe_depth}
+        result = {"case": "single-axis", "axis": case.axis}
     elif isinstance(case, CommonSupportCase):
-        result = {
-            "case": "common-support",
-            "syllables": sorted([f, k] for f, k in case.syllables),
-            "probe_depth": case.probe_depth,
-        }
+        result = {"case": "common-support", "support": sorted([f, k] for f, k in case.syllables)}
     else:
         result = {
             "case": "refuted",
@@ -353,22 +349,11 @@ def _verbal_dichotomy(args) -> int:
 def _refute(args) -> int:
     expr = _load_expr(args.expr)
     w = parse_word(args.word)
-    report = refute(
-        expr,
-        w,
-        enum_cap=args.enum_cap,
-        probe_depth=args.probe_depth,
-        foreign_cap=args.foreign_cap,
-    )
+    report = refute(expr, w, foreign_cap=args.foreign_cap)
     payload = report.as_json()
     replayed = replay_report(payload)
     result = payload | {"replayed": replayed}
-    config = {
-        "enum_cap": args.enum_cap,
-        "probe_depth": args.probe_depth,
-        "foreign_cap": args.foreign_cap,
-    }
-    _emit(args, "refute", config, result)
+    _emit(args, "refute", {"foreign_cap": args.foreign_cap}, result)
     if not replayed:
         print("certificate replay failed", file=sys.stderr)
         return 2
@@ -519,8 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("refute", help="refute a rational description of positive word values")
     p.add_argument("--word", required=True)
     p.add_argument("--expr", required=True, help="s-expression text or file path")
-    p.add_argument("--enum-cap", type=int, default=6, help="longest first-return loop read per looping component")
-    p.add_argument("--probe-depth", type=int, default=3)
     p.add_argument("--foreign-cap", type=int, default=10)
     p.add_argument("--out")
     p.set_defaults(func=_refute)

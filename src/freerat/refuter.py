@@ -6,29 +6,28 @@ machine-checkable discrepancy certificate:
 
 * ``missing-value`` — an explicit value of w (with its substitution
   transcript) that L rejects;
-* ``foreign-element`` — an element L accepts together with an exact proof
-  (root extraction or the abelianization obstruction) that it is no value;
-* ``inconsistent-branch`` — an accepted value that cannot be split into the
-  block shapes every member of L must admit; this outcome depends on
-  budgeted branch classification and is flagged as heuristic.
+* ``foreign-element`` — an element L accepts together with a proof that it
+  is no value: root extraction or the abelianization obstruction, or, when
+  neither applies, gap-growth evidence flagged as heuristic.
 
 The block analysis reads the minimal DFA of the positive part of L.  Each
 nontrivial strongly connected component (more than one state, or a
-self-loop) is a starred factor, classified by
-:func:`freerat.verbal.support_dichotomy_check` on its first-return loops:
-single-axis factors contribute power blocks, common-support factors
-bound the x₁-runs and x₂-runs of support words by the longest syllables
-of their support, and the letter runs on edges between components are
-the coefficients, bounded the same way.  A path through m such components
-factors into at most n = 2m+1 alternating (support-word, axis-power)
-pairs.  The witness word (x₁ᵗx₂)^{l·e} with t one above the x₁-run bound
-and l = n+1 has too many long x₁-runs to factor that way, yet is always a
-value of w.
+self-loop) is a starred factor, classified exactly on its own states and
+edges (see :func:`_classify`): single-axis factors contribute power blocks,
+common-support factors bound the x₁-runs and x₂-runs of support words by
+the longest syllables of their support, and the letter runs on edges
+between components are the coefficients, bounded the same way.  Any other
+factor holds two loops that refute it.  A path through m looping
+components factors into at most n = 2m+1 alternating (support-word,
+axis-power) pairs, since every path inside a component extends to a loop
+at its first state.  The witness word (x₁ᵗx₂)^{l·e} with t one above the
+x₁-run bound and l = n+1 has too many long x₁-runs to factor that way, so
+L rejects it, yet it is always a value of w.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import groupby
 
 from freerat.automata import (
     Acceptor,
@@ -38,15 +37,9 @@ from freerat.automata import (
     shortest_accepted,
     strong_components,
 )
-from freerat.freeprod import from_f2, to_f2
+from freerat.freeprod import cyclic_form, from_f2, to_f2
 from freerat.ratexpr import RatExpr, format_ratexpr, parse_ratexpr
-from freerat.verbal import (
-    CommonSupportCase,
-    RefutedCase,
-    SingleAxisCase,
-    certify_nonvalue,
-    support_dichotomy_check,
-)
+from freerat.verbal import RefutedCase, certify_nonvalue, refute_pair
 from freerat.words import (
     Word,
     WordClass,
@@ -109,56 +102,132 @@ def loop_components(acc: Acceptor) -> tuple[list[list[int]], list[bool]]:
     return components, [len(m) > 1 or bool(succ[m[0]] >> m[0] & 1) for m in components]
 
 
-def _first_returns(acc: Acceptor, r: int, inside: int, cap: int) -> list[tuple[int, ...]]:
-    """The strings of length <= cap that lead from state r back to r,
-    through the states of ``inside`` and meeting r only at their end."""
-    by_letter = sorted(zip(acc.letters, range(len(acc.letters))))
-    loops = []
-    layer = [(r, ())]
-    for _ in range(cap):
-        nxt = []
-        for s, string in layer:
-            row = acc.table[s]
-            for a, i in by_letter:
-                t = row[i] & inside
-                if t >> r & 1:
-                    loops.append(string + (a,))
-                elif t:
-                    nxt.append((t.bit_length() - 1, string + (a,)))
-        layer = nxt
-    return loops
+def _classify(acc: Acceptor, members: list[int], w: Word) -> dict | RefutedCase:
+    """The dichotomy case of one looping component, decided on its own
+    states and edges and read at r, its first state: a single-axis or
+    common-support record for the report, or the refuted case of two loops
+    at r.
+
+    * Every edge inside reads one letter: single-axis.
+    * Some letter has a cycle of its own edges inside, and the component
+      reads the other letter too: runs are unbounded (see :func:`_run_pair`).
+    * Otherwise every run inside is shorter than the component, and the
+      cyclic supports of the loops at r come from one finite search (see
+      :func:`_loop_supports`): one support is a common support, and two
+      give the refuting pair.
+    """
+    r = min(members)
+    inside = sum(1 << s for s in members)
+    table = [tuple(m & inside for m in row) if inside >> p & 1 else (0,) * len(row) for p, row in enumerate(acc.table)]
+    read = [a for a, i in sorted(acc.position.items()) if any(row[i] for row in table)]
+    if len(read) == 1:
+        return {"kind": "single-axis", "axis": _AXIS[read[0]]}
+    for x in read:
+        succ = [row[acc.position[x]] for row in table]
+        cycles = [c for c in strong_components(succ) if len(c) > 1 or succ[c[0]] >> c[0] & 1]
+        if cycles:
+            return _refuted(acc, r, *_run_pair(acc, table, r, x, min(cycles, key=min)), w)
+    supports = _loop_supports(acc, inside, r)
+    if len(supports) == 2:
+        (s1, first), (s2, second) = supports
+        u, v = (second, first) if s2 - s1 else (first, second)
+        return _refuted(acc, r, Word(u), Word(v), w)
+    ((support, _),) = supports
+    top = {x: max(e for a, e in support if _AXIS[a] == x) for x in ("a", "b")}
+    return {"kind": "common-support", **top}
 
 
-def _entry_loops(acc: Acceptor, component: list[int], cap: int) -> tuple[int, list[tuple[int, ...]]]:
-    """The state r at which a nontrivial component is read as a star, and
-    its first-return loops: of the states with two or more in-edges inside
-    the component, the one with the fewest loops, the first in state order
-    on ties.  With no such state the component is one cycle, every state
-    has the same loops, and r is its first state."""
-    inside = sum(1 << s for s in component)
-    entries = 0
-    seen = 0
-    for p in component:
-        for mask in acc.table[p]:
-            entries |= mask & inside & seen
-            seen |= mask & inside
-    states = [s for s in sorted(component) if entries >> s & 1] or sorted(component)
-    return min(((s, _first_returns(acc, s, inside, cap)) for s in states), key=lambda e: len(e[1]))
+def _run_pair(
+    acc: Acceptor, table: list[tuple[int, ...]], r: int, x: int, cycle: list[int]
+) -> tuple[Word, Word]:
+    """Loops u, v at r, u with a cyclic syllable v lacks and v with two or
+    more cyclic syllables, in a component (the edges of ``table``) that
+    reads both letters and whose x-edges close ``cycle``.
+
+    From s, the first state of the cycle, of length k, take α (r to s), β
+    (s to r) and c, a loop at s through an edge on the other letter, all
+    shortest.  Then v = α·xᵏ·c·β, and u = α·x^{kN}·β with kN above the
+    longest cyclic x-syllable of v."""
+    s, k = min(cycle), len(cycle)
+    # a second copy of the component, entered by the other letter's edges:
+    # a path from s to the copy of s is a loop at s through such an edge
+    n, other = acc.n_states, acc.position[3 - x]
+    twice = [tuple(m << n if i == other else m for i, m in enumerate(row)) for row in table]
+    twice += [tuple(m << n for m in row) for row in table]
+    c = shortest_accepted(Acceptor(acc.alphabet, twice, 1 << s, 1 << (n + s)))
+    alpha = shortest_accepted(Acceptor(acc.alphabet, table, 1 << r, 1 << s))
+    beta = shortest_accepted(Acceptor(acc.alphabet, table, 1 << s, 1 << r))
+    v = Word(alpha + (x,) * k + c + beta)
+    top = max(e for f, e in cyclic_form(from_f2(v)).syllables if f == _AXIS[x])
+    return Word(alpha + (x,) * (k * (top // k + 1)) + beta), v
 
 
-def _analyze(
-    acc: Acceptor, w: Word, enum_cap: int, probe_depth: int
-) -> tuple[DecompositionScheme, list[dict]] | tuple[int, RefutedCase]:
+def _loop_supports(acc: Acceptor, inside: int, r: int) -> list[tuple[frozenset, tuple[int, ...]]]:
+    """The first loop at r through the states of ``inside`` (shortest, then
+    lexicographically first) with its cyclic support, a set of (letter, run
+    length); and the first loop with another support, when there is one.
+    ``inside`` is a component with no one-letter cycle, so every loop reads
+    both letters and every run is shorter than the component.
+
+    A breadth-first search over configurations (state, first run, current
+    run, completed runs) of the strings from r, keeping the first string to
+    reach each.  A return to r closes a loop whose cyclic support is the
+    completed runs plus the first and last run, merged when they read one
+    letter.  Strings with one configuration close to the same supports, so
+    dropping the later ones loses none; the configurations are finite, so
+    the search ends."""
+    by_letter = sorted((a, i) for i, a in enumerate(acc.letters) if a > 0)
+    start = (r, None, None, frozenset())
+    seen = {start}
+    queue = deque([(start, ())])
+    found: list[tuple[frozenset, tuple[int, ...]]] = []
+    while queue:
+        (s, first, run, done), string = queue.popleft()
+        for a, i in by_letter:
+            t = (acc.table[s][i] & inside).bit_length() - 1
+            if t < 0:
+                continue
+            if run is None or run[0] == a:
+                key = (t, first, (a, run[1] + 1 if run else 1), done)
+            elif first is None:
+                key = (t, run, (a, 1), done)
+            else:
+                key = (t, first, (a, 1), done | {run})
+            if key in seen:
+                continue
+            seen.add(key)
+            loop = string + (a,)
+            if t == r:
+                _, head, tail, runs = key
+                if head[0] == tail[0]:
+                    support = runs | {(a, head[1] + tail[1])}
+                else:
+                    support = runs | {head, tail}
+                if not found or support != found[0][0]:
+                    found.append((support, loop))
+                    if len(found) == 2:
+                        return found
+            queue.append((key, loop))
+    return found
+
+
+def _refuted(acc: Acceptor, r: int, u: Word, v: Word, w: Word) -> RefutedCase:
+    """The refuted case of two loops u, v at r, between the shortest string
+    to r and the shortest from r to a final state."""
+    p = shortest_accepted(Acceptor(acc.alphabet, acc.table, acc.initial, 1 << r))
+    q = shortest_accepted(Acceptor(acc.alphabet, acc.table, 1 << r, acc.finals))
+    return refute_pair(from_f2(Word(p)), from_f2(u), from_f2(v), from_f2(Word(q)), w)
+
+
+def _analyze(acc: Acceptor, w: Word) -> tuple[DecompositionScheme, list[dict]] | tuple[int, RefutedCase]:
     """Block constraints of the language of a minimal positive DFA, with
-    one record per classified nontrivial component; or, at the first
-    component that contains a certified non-value, its number and case.
+    one record per nontrivial component; or, at the first component that
+    contains a certified non-value, its number and case.
 
-    Components are numbered by their first state.  Each is classified
-    through its first-return loops of length <= enum_cap, between the
-    shortest string to its entry state and the shortest from there to a
-    final state.  A common support raises the run bounds to its longest
-    syllables; a single-axis power set leaves them.  Letter runs along
-    edges between components raise them too.
+    Components are numbered by their first state and classified by
+    :func:`_classify`.  A common support raises the run bounds to its
+    longest syllables; a single-axis component leaves them.  Letter runs
+    along edges between components raise them too.
     """
     components, looping = loop_components(acc)
     comp_of = [0] * acc.n_states
@@ -190,23 +259,12 @@ def _analyze(
     branches: list[dict] = []
     nontrivial = sorted((min(m), m) for m, loops in zip(components, looping) if loops)
     for i, (_, members) in enumerate(nontrivial):
-        r, loops = _entry_loops(acc, members, enum_cap)
-        if not loops:
-            continue
-        p = shortest_accepted(Acceptor(acc.alphabet, acc.table, acc.initial, 1 << r))
-        q = shortest_accepted(Acceptor(acc.alphabet, acc.table, 1 << r, acc.finals))
-        case = support_dichotomy_check(
-            [from_f2(Word(u)) for u in loops], from_f2(Word(p)), from_f2(Word(q)), w,
-            budget=probe_depth,
-        )
-        if isinstance(case, SingleAxisCase):
-            branches.append({"component": i, "kind": "single-axis", "axis": case.axis})
-        elif isinstance(case, CommonSupportCase):
-            top = {x: max(k for f, k in case.syllables if f == x) for x in bound}
-            branches.append({"component": i, "kind": "common-support", **top})
-            bound = {x: max(bound[x], top[x]) for x in bound}
-        else:
+        case = _classify(acc, members, w)
+        if isinstance(case, RefutedCase):
             return i, case
+        branches.append({"component": i, **case})
+        if case["kind"] == "common-support":
+            bound = {x: max(bound[x], case[x]) for x in bound}
     return DecompositionScheme(bound["a"], bound["b"], n), branches
 
 
@@ -238,47 +296,21 @@ class WitnessCertificate:
 def witness_word(w: Word, scheme: DecompositionScheme) -> WitnessCertificate:
     """The canonical value no scheme-shaped language member can equal.
 
-    t = a + 1 exceeds the x₁-run bound, so every run x₁ᵗ is long and fits
-    in no support word; l = n+1 gives the witness l·e >= 2n+2 long runs,
-    more than n pairs can hold (see :func:`decomposable`).
+    A scheme-shaped word splits as s₁t₁…sₙtₙ, each sᵢ a support word (no
+    run longer than its letter's bound) and each tᵢ an axis power, either
+    block possibly empty.  Call a run long when it is longer than its
+    letter's bound.  A long run lies in no support word, so some tᵢ meets
+    it: tᵢ holds some of its letters, or tᵢ is empty at a point strictly
+    inside it.  A tᵢ meets at most one run, so each long run needs a pair
+    of its own.  t = a + 1 exceeds the x₁-run bound, so every run x₁ᵗ is
+    long, and l = n+1 gives the witness l·e >= 2n+2 long runs, more than n
+    pairs can hold.
     """
     if exponent_gcd(w) < 2:
         raise ValueError("witness construction needs exponent gcd >= 2")
     t = scheme.a + 1
     l = scheme.n + 1
     return _power_certificate(w, (Word([1] * t) * Word([2])) ** l, t, l)
-
-
-def decomposable(u: Word, scheme: DecompositionScheme) -> tuple[bool, dict]:
-    """Whether u splits as s₁t₁…sₙtₙ with each sᵢ a support word (no run
-    longer than its letter's bound) and each tᵢ an axis power (either sign
-    of block may be empty).  Returns the verdict with a replay trace.
-
-    Call a run of u long when it is longer than its letter's bound.  A
-    long run lies in no support word, so some tᵢ meets it: tᵢ holds some
-    of its letters, or tᵢ is empty at a point strictly inside it.  A tᵢ
-    meets at most one run, so each long run needs a pair of its own.  The
-    last block tₙ ends u, so it meets a long run only when u ends in one;
-    a word that does not needs one more pair for its tail.  That count of
-    pairs also suffices: the k-th long run is tₖ, sₖ the short runs before
-    it, and the short runs after the last long run are the tail's support
-    word.  So u splits into n pairs exactly when the count is at most n; a
-    word with no long run needs one pair.
-    """
-    letters = u.letters
-    if any(a < 0 for a in letters):
-        raise ValueError("block decomposition is defined for positive words")
-    bound = {1: scheme.a, 2: scheme.b}
-    long = [sum(1 for _ in run) > bound[a] for a, run in groupby(letters)]
-    pairs = sum(long) + (not long or not long[-1])
-    verdict = pairs <= scheme.n
-    trace = {
-        "decomposable": verdict,
-        "scheme": scheme.as_json(),
-        "letters": len(letters),
-        "pairs_needed": pairs,
-    }
-    return verdict, trace
 
 
 # -- refutation pipeline ----------------------------------------------------
@@ -288,7 +320,7 @@ def decomposable(u: Word, scheme: DecompositionScheme) -> tuple[bool, dict]:
 class RefutationReport:
     word: Word
     expr: RatExpr
-    outcome: str  # "missing-value" | "foreign-element" | "inconsistent-branch"
+    outcome: str  # "missing-value" | "foreign-element"
     witness: Word
     exact: bool
     certificate: dict
@@ -321,26 +353,13 @@ def _power_certificate(w: Word, base: Word, t: int = 0, l: int = 0) -> WitnessCe
     return WitnessCertificate(t, l, e, base, exponents, images, u)
 
 
-def refute(
-    expr: RatExpr,
-    w: Word,
-    *,
-    enum_cap: int = 6,
-    probe_depth: int = 3,
-    foreign_cap: int = 10,
-) -> RefutationReport:
+def refute(expr: RatExpr, w: Word, *, foreign_cap: int = 10) -> RefutationReport:
     """Produce a certified discrepancy between L(expr) and the positive
     values of w.  Requires exponent gcd >= 2 (proper words): gcd 0 needs
     commutator-width methods and gcd 1 words take every element as a value.
     """
-    # each limit is named with its ``refute`` flag
-    for name, flag, value, low in (
-        ("enum_cap", "--enum-cap", enum_cap, 0),
-        ("probe_depth", "--probe-depth", probe_depth, 2),
-        ("foreign_cap", "--foreign-cap", foreign_cap, 0),
-    ):
-        if value < low:
-            raise ValueError(f"{name} ({flag}) must be >= {low}, got {value}")
+    if foreign_cap < 0:
+        raise ValueError(f"foreign_cap (--foreign-cap) must be >= 0, got {foreign_cap}")
     cls = classify(w)
     if cls in (WordClass.TRIVIAL, WordClass.COMMUTATOR):
         raise ValueError(
@@ -351,7 +370,7 @@ def refute(
         raise ValueError("exponent gcd 1: every element is a value, nothing to refute")
 
     acc = positive_dfa(expr)
-    analysis = _analyze(acc, w, enum_cap, probe_depth)
+    analysis = _analyze(acc, w)
     if isinstance(analysis[1], RefutedCase):
         return _foreign_report(w, expr, acc, *analysis, foreign_cap)
     scheme, branches = analysis
@@ -377,37 +396,14 @@ def refute(
             },
         )
 
-    return _scheme_report(w, expr, acc, scheme, branches)
-
-
-def _scheme_report(
-    w: Word, expr: RatExpr, acc: Acceptor, scheme: DecompositionScheme, branches: list[dict]
-) -> RefutationReport:
-    """The witness of a block scheme, reported missing when acc rejects it
-    and as an inconsistent branch when acc accepts it."""
+    # every accepted positive string splits into at most n block pairs,
+    # and the witness does not
     wc = witness_word(w, scheme)
-    if not acc.accepts_word(wc.u):
-        return _transcript_report(
-            w,
-            expr,
-            wc,
-            {"accepted": False, "scheme": scheme.as_json(), "branches": branches},
-        )
-
-    verdict, trace = decomposable(wc.u, scheme)
-    if verdict:
-        raise RuntimeError(
-            "witness decomposed despite its construction; scheme extraction bug"
-        )
-    certificate = {
-        "kind": "inconsistent-branch",
-        "transcript": wc.as_json(),
-        "accepted": True,
-        "decomposition": trace,
-        "branches": branches,
-        "heuristic_note": "branch classification is budget-limited",
-    }
-    return RefutationReport(w, expr, "inconsistent-branch", wc.u, False, certificate)
+    if acc.accepts_word(wc.u):
+        raise RuntimeError("witness accepted despite its construction; scheme extraction bug")
+    return _transcript_report(
+        w, expr, wc, {"accepted": False, "scheme": scheme.as_json(), "branches": branches}
+    )
 
 
 def _foreign_report(
@@ -427,7 +423,7 @@ def _foreign_report(
             return RefutationReport(w, expr, "foreign-element", g, True, certificate)
 
     # Fall back to the refuted component's member, the first with an exact
-    # certificate when one has: the string to the component's entry state,
+    # certificate when one has: the string to the component's first state,
     # loops there, then the string to a final state, hence accepted.
     g = to_f2(case.witness)
     if not acc.accepts_word(g):
@@ -450,7 +446,8 @@ def replay_report(report: dict) -> bool:
     """Re-verify a serialized report from scratch: transcripts re-reduce,
     acceptor verdicts recompute, and non-value proofs re-fail.  Heuristic
     certificates replay their exact parts only.  A report of the wrong
-    shape (a field missing or of the wrong type) does not replay."""
+    shape (a field missing or of the wrong type) or of another outcome
+    does not replay."""
     try:
         return _replay(report)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError):
@@ -491,12 +488,4 @@ def _replay(report: dict) -> bool:
             profile = exponent_profile(witness, 2)
             return any(profile) if m == 0 else any(c % m for c in profile)
         return nonvalue["method"] == "gap-growth"
-    if outcome == "inconsistent-branch":
-        if not transcript_ok(certificate["transcript"]):
-            return False
-        if not acc.accepts_word(witness):
-            return False
-        scheme = DecompositionScheme.from_json(certificate["decomposition"]["scheme"])
-        verdict, _ = decomposable(witness, scheme)
-        return not verdict
     return False

@@ -281,16 +281,14 @@ class SingleAxisCase:
     """Every bounded product is a power of one factor generator."""
 
     axis: str
-    probe_depth: int
 
 
 @dataclass(frozen=True)
 class CommonSupportCase:
-    """All bounded products share one cyclic support; K is its closure
-    under splitting end syllables into positive parts."""
+    """All bounded products share one cyclic support: ``syllables`` is the
+    set of syllables of their cyclic forms."""
 
     syllables: frozenset[Syllable]
-    probe_depth: int
 
 
 @dataclass(frozen=True)
@@ -305,26 +303,6 @@ class RefutedCase:
     family: FamilyReport
     certificate: dict
     exact: bool
-
-
-def _divisor_closure(group: FreeProduct, syllables: Iterable[Syllable]) -> frozenset[Syllable]:
-    """Close a syllable set under splitting (f, s) into positive (f, i)·(f, j)."""
-    out = set(syllables)
-    work = list(out)
-    while work:
-        fid, s = work.pop()
-        factor = group.factors[fid]
-        if factor.modulus is None:
-            parts = range(1, s)
-        else:
-            parts = (i for i in range(1, factor.modulus) if (s - i) % factor.modulus)
-        for i in parts:
-            j = s - i if factor.modulus is None else (s - i) % factor.modulus
-            for part in ((fid, i), (fid, j)):
-                if part not in out:
-                    out.add(part)
-                    work.append(part)
-    return frozenset(out)
 
 
 def _bounded_products(elements: Sequence[FPElement], depth: int) -> set[FPElement]:
@@ -361,7 +339,6 @@ def support_dichotomy_check(
     elements = sorted({g for g in E if g.syllables})
     if not elements:
         raise ValueError("need at least one nonidentity generator")
-    group = elements[0].group
     for g in (*elements, p, q):
         if not g.is_positive():
             raise ValueError(f"dichotomy needs positive inputs, got {g!r}")
@@ -374,12 +351,11 @@ def support_dichotomy_check(
     if all(len(u) == 1 for u in probe):
         axes = {u.syllables[0][0] for u in probe}
         if len(axes) == 1:
-            return SingleAxisCase(axes.pop(), budget)
+            return SingleAxisCase(axes.pop())
     cores = {u: cyclic_form(u) for u in probe}
     supports = {support(core) for core in cores.values()}
     if all(len(core) >= 2 for core in cores.values()) and len(supports) == 1:
-        common = supports.pop()
-        return CommonSupportCase(_divisor_closure(group, common), budget)
+        return CommonSupportCase(supports.pop())
 
     return _refute_dichotomy(cores, p, q, w, budget)
 
@@ -390,18 +366,24 @@ def _refute_dichotomy(
     """The certified member of a family grown from the first probe pair
     (v, u) in sorted order with v's cyclic core of length >= 2 and supp(u)
     not inside supp(v); ``cores`` maps each probe element to its core."""
-    e = exponent_gcd(w)
     probe = sorted(cores)
     supports = {u: support(core) for u, core in cores.items()}
     for v in [v for v in probe if len(cores[v]) >= 2]:
         for u in probe:
             if supports[u] - supports[v]:
-                family = unbounded_family(p, u, v, q, n_max=max(4, budget), e=e)
-                return _certified_member(family, w)
+                return refute_pair(p, u, v, q, w, n_max=max(4, budget))
     raise GaveUp(f"no refuting pair found within the probe depth of {budget}")
 
 
-def _certified_member(family: FamilyReport, w: Word) -> RefutedCase:
+def refute_pair(
+    p: FPElement, u: FPElement, v: FPElement, q: FPElement, w: Word, n_max: int = 4
+) -> RefutedCase:
+    """The case that refutes p·{u, v}*·q against the values of w, from the
+    family ``unbounded_family(p, u, v, q, n_max, e)``, e the exponent gcd
+    of w: its first member with an exact non-value certificate when it has
+    one, else its member of greatest γ with the gap-growth evidence.  v
+    needs two or more cyclic syllables, and u a cyclic syllable v lacks."""
+    family = unbounded_family(p, u, v, q, n_max=n_max, e=exponent_gcd(w))
     if family.members[0].group.is_free():
         for member in family.members:
             cert = certify_nonvalue(w, to_f2(member))

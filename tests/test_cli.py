@@ -281,7 +281,16 @@ def test_verbal_dichotomy_single_axis(capsys):
     result = run_json(
         capsys, "verbal", "dichotomy", "--word", "x1^2", "--gen", "a", "--gen", "a^3"
     )["result"]
-    assert result == {"case": "single-axis", "axis": "a", "probe_depth": 3}
+    assert result == {"case": "single-axis", "axis": "a"}
+
+
+def test_verbal_dichotomy_reports_the_common_support_alone(capsys):
+    # the support itself, not its closure under splitting syllables: a
+    # 1,500-letter syllable costs a few bytes
+    code, out, err = run_cli(capsys, "verbal", "dichotomy", "--word", "x1^2", "--gen", "a^1500 b")
+    assert code == 0, err
+    assert json.loads(out)["result"] == {"case": "common-support", "support": [["a", 1500], ["b", 1]]}
+    assert len(out.encode()) < 2048
 
 
 # -- gaps scan CSV hand-off ------------------------------------------------
@@ -378,17 +387,20 @@ def test_refute_missing_value_stdout(capsys):
 @pytest.mark.parametrize(
     "flag,value,name,low,expr",
     [
-        # the default cap answers this one exactly (foreign-element)
+        # the loop length and probe depth of the sampled classification
+        # are no options: usage errors
         ("--enum-cap", "-1", "enum_cap", 0, "(star (fin x1 x2))"),
         ("--foreign-cap", "-1", "foreign_cap", 0, "(star (fin x1 x2))"),
-        # no looping component, so the probe depth would never be read
         ("--probe-depth", "1", "probe_depth", 2, "(fin x1^2)"),
     ],
 )
 def test_refute_refuses_out_of_range_limits(capsys, flag, value, name, low, expr):
     code, out, err = run_cli(capsys, "refute", "--word", "x1^2", "--expr", expr, flag, value)
     assert (code, out) == (1, "")
-    assert err == f"error: {name} ({flag}) must be >= {low}, got {value}\n"
+    if flag == "--foreign-cap":
+        assert err == f"error: {name} ({flag}) must be >= {low}, got {value}\n"
+    else:
+        assert err == f"error: unrecognized arguments: {flag} {value}\n"
 
 
 def test_refute_long_finite_leaf(capsys):
@@ -448,20 +460,24 @@ def test_refute_star_of_unions_answers_exactly(capsys):
     assert time.perf_counter() - start < 5.0
 
 
-@pytest.mark.parametrize(
-    "expr",
-    [
-        "(prod (star (fin x1)) (fin (x1^-1 x2^1500)))",
-        "(star (fin (x1^-1 x2^1500 x1) x1))",
-    ],
-)
+# the second: an x1 self-loop beside x2-edges in one component makes x1-runs
+# unbounded, so the component is refuted, and x1 is the shortest non-square
+LONG_CHAIN_ANSWERS = {
+    "(prod (star (fin x1)) (fin (x1^-1 x2^1500)))": ("missing-value", None),
+    "(star (fin (x1^-1 x2^1500 x1) x1))": ("foreign-element", "x1"),
+}
+
+
+@pytest.mark.parametrize("expr", list(LONG_CHAIN_ANSWERS))
 def test_refute_long_chain_positive_part_answers_exactly(capsys, expr):
     # the positive part's DFA has a chain of 1,500 states; minimization and
     # the component pass walk it without recursing once per state
     start = time.perf_counter()
     result = run_json(capsys, "refute", "--word", "x1^2", "--expr", expr)["result"]
     assert (result["replayed"], result["exact"]) == (True, True)
-    assert result["outcome"] == "missing-value"
+    outcome, witness = LONG_CHAIN_ANSWERS[expr]
+    assert result["outcome"] == outcome
+    assert witness is None or result["witness"] == witness
     assert time.perf_counter() - start < 5.0
 
 

@@ -40,43 +40,43 @@ BIG_POSITIVE_PART = (
 
 GOLDEN = [
     (("refute", "--word", "x1^2", "--expr", "(star (fin (x1 x2)))"),
-     "262709f5119e1e5609aa169791b1bae24442f0d94271a9ca9a0c332464c6a364"),
+     "f8757d7ff4063ba0f0cd6d36bdb941d1cbfc17c881361286501480df74905a28"),
     (("refute", "--word", "x1^2", "--expr", "(star (fin x1 x2))"),
-     "7d73c6cd820a7ce7538cc12b31d32aea353dddafd15e0b56c3e9be96d9ab2795"),
+     "f12274b44895422aae9c682e5e676e22038c69e9e73327ab80e7e280373382ea"),
     (("refute", "--word", "x1^2", "--expr", "(fin x1^2 x1^4 x2^2)"),
-     "fb25e9358c323b4947cbda26bc69bb670a883d8d8ec81eba00bb6b55a4958827"),
+     "65cb4fd4cbf4dd81b5e3acac5db4fdab496a1f50e5abd772ca113c8593d12a5b"),
     (("refute", "--word", "x1^2", "--expr", "(union (fin (x1^-1 x2^-1)) (star (fin x2^2)))"),
-     "513cd25e46894ec468a5f471cf4863fb4236ce9c00b80b21fd848a364bb9265e"),
+     "a942f3a26c6fcab56910e4668feedcb8853cfc7aa77eab634afa108063e05bb2"),
     (("refute", "--word", "x1^3", "--expr", "(star (fin x1^3))"),
-     "fd2d0494a2bf394f8744b5a6826a637083c7da8ca01677401e22a3b603096a21"),
+     "cda4c9c140c3adbee3f03d00562e489d6d3ab996b7c7337b8f1803982704801d"),
     (("refute", "--word", "x1^2", "--expr", "(prod (fin (x1^-1 x2)) (star (fin (x2^-1 x1 x2 x1))))"),
-     "041038e952dadbe89d0800ad005ae06d79eb9a9045f243593b2e6dc3f7c73ad4"),
+     "8abe9b808d5e9866d6cac812b558c82f7b85aff605a6d2f4de599706fc873204"),
     (("refute", "--word", "x1^2 x2^2", "--expr", "(star (union (fin (x1 x2)) (fin (x2 x1))))"),
-     "949a210b39fde0e810d6fb9e905a5030c0bbe3c9ccc77caaec69614919588da0"),
+     "2b18114f7809d02b0914117285573a4c7f02ad283e29aa5cd315d3d67a97d4ed"),
     (("refute", "--word", "x1^2", "--expr", "(prod (star (fin (x1 x2^-1))) (fin (x2 x1)))"),
-     "bd617ad4149006d96adf10e75413723a61be626fe94cfc7b195d8a74e5863e24"),
+     "030b2ad74dbacf6c4457c773f18450ab289fd99ce14d65741870ef2c1def8d40"),
     (("refute", "--word", "x1^2", "--expr", "(union (star (fin (x1^2 x2^-1 x1))) (fin (x2^-1 x1^2)))"),
-     "1adafa216b28f0cf2bfc166a5fe7c0c9206d489a68414f3c8dfe5968599d75aa"),
+     "bfc14724d860d9c52a44dec9602ab36e533e4515a6495de241fd01a7760038f5"),
     (("refute", "--word", "x1^2", "--expr", "(prod (fin (x2^-1 x1)) (prod (star (fin x1)) (fin (x1^-1 x2))))"),
-     "2dc2c4476e12ad09d2ef421e33de86c96aed9675d1cde7154d54d74e080fb51d"),
+     "375bfb497290134d398d8a4e735faecf7b68d6b6050d33861a0bbba8e9abc07a"),
     (("refute", "--word", "x1^2", "--expr", "(star (fin (x1 x2 x1 x2 x1 x2 x1 x2)))"),
-     "63b7987aa90154b5878edc78caeae2c35accfd710d48f77756086bed57faaef2"),
+     "2cd47f40a809b1ba45dc1ac28dfe10ffda906d83895a53f5e27449d8c15e0eef"),
     (("refute", "--word", "x1^4", "--expr", "(prod (star (fin (x1^2 x2))) (star (fin (x2^-1 x1^2 x2 x2))))"),
-     "d55db80cf85eabf1f7d2b5936b76a47c044e3f4574cff012029ccde7796e393b"),
+     "77b03795ef4cf2dd1f034223a612304fa14a4b738996a5db47804235391cefbf"),
     (("refute", "--word", "x1^2", "--expr", "(union (prod (fin (x2^-1 x1)) (star (fin (x1 x2)))) (star (fin (x2 x1^-1 x2 x1))))"),
-     "e6ab9e9f310f7f6c2b9cca2a8cb1afc1dec797ef9aa3664d6a4e1e9abb6a13c4"),
+     "985c2a52bb836509b5fade73d29e47ff24f6c19fd82791ff022042c6cc331164"),
     (("refute", "--word", "x1^2", "--expr", "(star (union (fin (x1 x2)) (fin (x2^-1 x1^2 x2))))"),
-     "7d3ee32d5c6ab378986220687168082906546b458a99e3a457fdc43762b103f2"),
+     "57894d2e4390ac918b4eae32a58d04a4821306ed0ac298d2d31ff854e7012f29"),
     (("refute", "--word", "x1^2 x2^2", "--expr", "(union (union (fin (x2 x1^2)) (fin (x1 x2^-1 x1))) (star (fin x1 x1^2)))"),
-     "0289665ab9b0668e0ece054272b1558e1b61808c2481798d694c3930f38bbc4b"),
+     "83677110a48b3031e8558915bb4f4353dfec6d2777159023670d911175286a2d"),
     (("refute", "--word", "x1^2", "--expr", "(union (star (fin (x2 x1^2))) (fin x1^-1 (x1 x2)))"),
-     "80a13a599a8041e1f69ebb579b0d5e1d3742f989b7f4cfe4e9bda19ffff2e169"),
+     "a991adb11f44b4be1f2d5703c01b25cda40bfbb8f54a4e825bd6ef8aa2fbccac"),
     (("refute", "--word", "x1^3", "--expr", "(prod (star (fin (x2 x1))) (prod (fin (x1 x2) (x2 x1)) (fin (x1 x2^-1 x1) (x1 x2 x1))))"),
-     "e4edf1c61eca0ff2452be0dae249674128e79ec0648e1efca4caed9e90ab8614"),
+     "893d67a28b48aa3493c2ea5f4df3c5dba87abe08b4ea8714a56b05b0726dff0f"),
     (("refute", "--word", "x1^2", "--expr", "(union (prod (fin x2^-1 (x2 x1)) (fin x1^2)) (star (fin x1^2)))"),
-     "5de993dae431491e5d30c54658b2fe676bde6a7cc01701c14c482acf8bbb16da"),
+     "bdbdd58a21b4277c185819d261320e3bf4b30338ee76a8e432d57f430fdff5b9"),
     (("refute", "--word", "x1^2 x2^-2 x1^2", "--expr", "(union (star (fin x2)) (union (fin (x1 x2) x2^2) (fin (x2 x1^-1) x2^2)))"),
-     "25e7916447b33a17221972e36fa2aebf744bbcd78b197d84379f59c793dc2e19"),
+     "865d1f7ab0e9e700d030cc6474891bbc1fe8b6933e2efd5d8e0c9c6d6a103dd6"),
     (("sign", "positivize", "--expr", "(star (fin (x1^-1 x2 x1)))", "--left", "x1", "--right", "x1^-1"),
      "0362a8a8616878f9d9749b864ce8ced13871180e487fba96b8985817a1805d40"),
     (("sign", "positivize", "--expr", "(star (fin (x1^-1 x2 x1)))", "--left", "x1"),
@@ -136,11 +136,11 @@ GOLDEN = [
     (("fp", "cyclic", "a b^2 a^3 b^-2 a", "--a-mod", "5"),
      "d953e8eec4f48f4b1e29624b310ad5cb76fea318b1abfb3cd0ab86e32e0880a0"),
     (("refute", "--word", "x1^2", "--expr", "(star (union (fin (x1 x2) (x2 x1)) (fin x2^2 (x1^-1 x2 x1))))"),
-     "4cd064922f8902f029a069045d0dd968c3e2510400a04fc13a0af993ce3298ce"),
+     "5f74e6b3dad699a94d86070f090a6fcac2d46dcb64654a953e14698375954a54"),
     (("refute", "--word", "x1^2", "--expr", "(prod (star (fin x1)) (fin (x1^-1 x2^1500)))"),
-     "ee3056b62b46d75952bb00f299547734189d24945ff9e6f240c368071025b879"),
+     "dee0f8516b1aed00dc6a7ed14dbadc06eaec798f17369c1f1ac677f50b384ab2"),
     (("refute", "--word", "x1^2", "--expr", "(star (fin (x1^-1 x2^1500 x1) x1))"),
-     "ebfc0831e98a607fa200d56f68ba627e2e565635fed9fb0fb994f8673fbb3658"),
+     "f160e1e325826d1e553c584359c1e4da968d2e2744bbfb67e585b7fcd5e86274"),
     (("rat", "positive", "--expr", "(fin (x1 x2^-1) x2)"),
      "8ce3b0918be1c6f30e69abe848e68e5321ac355f0608c6f4c275d49b19b3f300"),
     (("rat", "positive", "--expr", "(star (fin (x2^-1 x1 x2)))"),

@@ -10,8 +10,8 @@ from freerat.ratexpr import Finite, Product, Star, Union
 from freerat.refuter import (
     DecompositionScheme,
     _analyze,
-    _entry_loops,
-    decomposable,
+    _classify,
+    _loop_supports,
     loop_components,
     positive_dfa,
     refute,
@@ -20,16 +20,17 @@ from freerat.refuter import (
 )
 from freerat.words import Word, parse_word, substitute
 
-from oracle_decomp import brute_decomposable
+from oracle_decomp import brute_decomposable, decomposable
+from oracle_refute import replay_sampled
 
 W = parse_word
 SQ = W("x1^2")
 
 
 def extract_scheme(expr, w):
-    """The block scheme of the positive part of expr at the refuter's
-    default caps, without the per-branch records."""
-    s, _ = _analyze(positive_dfa(expr), w, enum_cap=6, probe_depth=3)
+    """The block scheme of the positive part of expr, without the
+    per-branch records."""
+    s, _ = _analyze(positive_dfa(expr), w)
     return s
 
 
@@ -78,33 +79,36 @@ def test_extract_scheme_frozen():
 
 def test_extract_scheme_returns_refuted_branch():
     expr = Star(Finite([W("x1 x2"), W("x1 x2^2")]))
-    component, case = _analyze(positive_dfa(expr), SQ, enum_cap=6, probe_depth=3)
+    component, case = _analyze(positive_dfa(expr), SQ)
     assert case.exact
     assert component == 0
 
 
-def test_loop_read_at_the_entry_state_with_fewest_first_returns():
+def test_loop_read_at_the_component_first_state():
     # (x1 x2 x1 | x1 x2 x1 x2)*: states 0 -x1-> 1 -x2-> 2 -x1-> 3, then
-    # 3 -x1-> 1 and 3 -x2-> 0.  Only state 1 has two in-edges inside the
-    # component; its first returns x2 x1^2 and (x2 x1)^2 have different
-    # supports, while state 0 sees the one loop (x1 x2)^2 within 6 letters.
+    # 3 -x1-> 1 and 3 -x2-> 0.  No letter has a cycle of its own, so the
+    # component is read at state 0: its first loop there is (x1 x2)^2, and
+    # the first with another cyclic support is x1 x2 x1^2 x2 x1 x2.
     expr = Star(Product(Finite([W("x1 x2")]), Finite([W("x1"), W("x1 x2")])))
     acc = positive_dfa(expr)
     components, looping = loop_components(acc)
     assert looping == [True] and sorted(components[0]) == [0, 1, 2, 3]
-    r, loops = _entry_loops(acc, components[0], 6)
-    assert r == 1
-    assert [Word(u) for u in loops] == [W("x2 x1^2"), W("x2 x1 x2 x1")]
+    assert _loop_supports(acc, 0b1111, 0) == [
+        (frozenset({(1, 1), (2, 1)}), (1, 2, 1, 2)),
+        (frozenset({(1, 1), (1, 2), (2, 1)}), (1, 2, 1, 1, 2, 1, 2)),
+    ]
     report = refute(expr, SQ)
     assert report.outcome == "foreign-element" and report.exact
     assert report.witness == W("x1 x2 x1")
     assert replay_report(report.as_json())
-    # on a simple cycle, the state nearest the initial one
+    # on a simple cycle, the state nearest the initial one, with its one
+    # cyclic support
     acc = positive_dfa(Product(Finite([W("x2")]), Star(Finite([W("x1 x2 x1")]))))
     components, looping = loop_components(acc)
     (cycle,) = [c for c, loops in zip(components, looping) if loops]
     assert sorted(cycle) == [1, 2, 3]
-    assert _entry_loops(acc, cycle, 6) == (1, [(1, 2, 1)])
+    assert _loop_supports(acc, 0b1110, 1) == [(frozenset({(1, 2), (2, 1)}), (1, 2, 1))]
+    assert _classify(acc, cycle, SQ) == {"kind": "common-support", "a": 2, "b": 1}
 
 
 def test_loop_components_finish_after_what_they_reach():
@@ -171,9 +175,9 @@ def test_decomposable_trace_is_replayable():
 
 
 def test_decomposable_matches_brute_force():
-    # every positive word of <= 7 letters, against the closed support sets
+    # every positive word of <= 8 letters, against the closed support sets
     # of run bounds 0..2, split into 1..3 pairs
-    for length in range(8):
+    for length in range(9):
         for letters in product((1, 2), repeat=length):
             u = Word(letters)
             for a, b, n in product(range(3), range(3), range(1, 4)):
@@ -235,14 +239,12 @@ def test_refute_mixed_sign_leaves_via_acceptor():
 
 
 def test_refute_budget_misclassification_is_flagged():
-    hidden = Star(Finite([W("x1 x2") ** 4]))
-    low = refute(hidden, SQ, enum_cap=6)
-    assert low.outcome == "inconsistent-branch" and not low.exact
-    assert low.certificate["decomposition"]["decomposable"] is False
-    assert replay_report(low.as_json())
-    high = refute(hidden, SQ, enum_cap=8)
-    assert high.outcome == "missing-value" and high.exact
-    assert replay_report(high.as_json())
+    # an 8-letter loop, which first returns of <= 6 letters never saw: the
+    # component is read exactly, whatever the length of its loops
+    report = refute(Star(Finite([W("x1 x2") ** 4])), SQ)
+    assert report.outcome == "missing-value" and report.exact
+    assert report.certificate["branches"] == [{"component": 0, "kind": "common-support", "a": 1, "b": 1}]
+    assert replay_report(report.as_json())
 
 
 def test_refute_higher_degree_word():
@@ -285,18 +287,50 @@ def test_replay_rejects_tampered_reports():
     assert not replay_report(bad)
 
 
+# The report of (x1 x2)^8 that sampled first returns of <= 6 letters gave:
+# the set accepts the witness, which splits into no 3 block pairs.
+INCONSISTENT_BRANCH = {
+    "certificate": {
+        "accepted": True,
+        "branches": [],
+        "decomposition": {
+            "decomposable": False, "letters": 16, "pairs_needed": 16, "scheme": {"a": 0, "b": 0, "n": 3},
+        },
+        "heuristic_note": "branch classification is budget-limited",
+        "kind": "inconsistent-branch",
+        "transcript": {
+            "base": "x1 x2 x1 x2 x1 x2 x1 x2",
+            "degree": 2,
+            "exponents": [1],
+            "images": ["x1 x2 x1 x2 x1 x2 x1 x2"],
+            "l": 4,
+            "t": 1,
+            "value": "x1 x2 x1 x2 x1 x2 x1 x2 x1 x2 x1 x2 x1 x2 x1 x2",
+        },
+    },
+    "exact": False,
+    "expression": "(star (fin (x1 x2 x1 x2 x1 x2 x1 x2)))",
+    "outcome": "inconsistent-branch",
+    "witness": "x1 x2 x1 x2 x1 x2 x1 x2 x1 x2 x1 x2 x1 x2 x1 x2",
+    "word": "x1^2",
+}
+
+
 def test_replay_rejects_a_block_count_that_decomposes_the_witness():
-    # a large n would let the witness split, so the report must not replay;
-    # it must answer False, not run out of stack
-    report = refute(Star(Finite([W("x1 x2") ** 4])), SQ).as_json()
-    assert report["outcome"] == "inconsistent-branch" and replay_report(report)
+    # an exact scheme's witness is never accepted, so an inconsistent-branch
+    # report does not replay, though its every check holds; a block count
+    # that lets the witness split fails those checks, and answers False
+    # rather than running out of stack
+    assert replay_sampled(INCONSISTENT_BRANCH)
+    assert not replay_report(INCONSISTENT_BRANCH)
     for edit in (
         lambda s: s.update(n=5000),
         lambda s: s.update(a=-1),
         lambda s: s.update(a=1.5),
         lambda s: s.pop("a"),
     ):
-        assert not replay_report(_edited(report, lambda r: edit(r["certificate"]["decomposition"]["scheme"])))
+        bad = _edited(INCONSISTENT_BRANCH, lambda r: edit(r["certificate"]["decomposition"]["scheme"]))
+        assert not replay_sampled(bad) and not replay_report(bad)
 
 
 def _edited(report, edit):

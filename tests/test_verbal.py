@@ -221,9 +221,9 @@ ID = FREE_ZZ.identity
 
 def test_dichotomy_single_axis():
     got = support_dichotomy_check([fp("a")], ID, ID, SQ)
-    assert got == SingleAxisCase("a", 3)
+    assert got == SingleAxisCase("a")
     got = support_dichotomy_check([fp("b"), fp("b^3")], ID, ID, SQ)
-    assert got == SingleAxisCase("b", 3)
+    assert got == SingleAxisCase("b")
 
 
 def test_dichotomy_common_support_frozen():
@@ -231,7 +231,7 @@ def test_dichotomy_common_support_frozen():
     assert isinstance(got, CommonSupportCase)
     assert got.syllables == frozenset({("a", 1), ("b", 1)})
     got = support_dichotomy_check([fp("a b^2")], ID, ID, SQ)
-    assert got.syllables == frozenset({("a", 1), ("b", 1), ("b", 2)})
+    assert got.syllables == frozenset({("a", 1), ("b", 2)})
 
 
 def test_dichotomy_common_support_covers_bounded_products():
