@@ -11,11 +11,10 @@ minimal DFA of a language, on which :func:`equivalent` compares two.
 """
 from __future__ import annotations
 
-from collections import deque
-from functools import lru_cache
+from collections import deque, namedtuple
 from typing import Iterator, Optional, Sequence
 
-from freerat.ratexpr import Finite, Product, RatExpr, Star, Union, max_rank
+from freerat.ratexpr import Finite, Product, RatExpr, Star, Union, format_ratexpr, max_rank
 from freerat.words import Word
 
 
@@ -497,10 +496,38 @@ def equivalent(a: Acceptor, b: Acceptor) -> bool:
 # -- expression-level membership -------------------------------------------
 
 
-@lru_cache(maxsize=512)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_ACCEPTORS_MAX = 512
+_acceptors: dict[str, Acceptor] = {}  # least recently used first
+_hits = _misses = 0
+
+
 def reduced_acceptor(expr: RatExpr) -> Acceptor:
-    """Deterministic acceptor of the reduced forms of the denoted set."""
-    return determinize(saturate(expr))
+    """Deterministic acceptor of the reduced forms of the denoted set.
+
+    The last 512 acceptors are cached under ``format_ratexpr(expr)``, so
+    the cache holds text and DFAs but no expression tree.  The text is a
+    sound key: it is injective on trees (``Finite`` elements sorted, words
+    reduced, every operator written out with its parentheses), so equal
+    text means an equal tree and the same acceptor.  A miss builds the DFA
+    from the tree in hand.  ``reduced_acceptor.cache_info()`` counts as
+    ``functools.lru_cache`` does.  The cache takes no lock: nothing in the
+    package runs threads."""
+    global _hits, _misses
+    key = format_ratexpr(expr)
+    dfa = _acceptors.pop(key, None)
+    if dfa is None:
+        _misses += 1
+        dfa = determinize(saturate(expr))
+        if len(_acceptors) >= _ACCEPTORS_MAX:
+            del _acceptors[next(iter(_acceptors))]
+    else:
+        _hits += 1
+    _acceptors[key] = dfa
+    return dfa
+
+
+reduced_acceptor.cache_info = lambda: _CacheInfo(_hits, _misses, _ACCEPTORS_MAX, len(_acceptors))
 
 
 def member(expr: RatExpr, g: Word) -> bool:

@@ -80,10 +80,6 @@ class DecompositionScheme:
     def as_json(self) -> dict:
         return {"a": self.a, "b": self.b, "n": self.n}
 
-    @staticmethod
-    def from_json(data: dict) -> "DecompositionScheme":
-        return DecompositionScheme(data["a"], data["b"], data["n"])
-
 
 def positive_dfa(expr: RatExpr) -> Acceptor:
     """The minimal DFA of the positive members of L(expr)."""

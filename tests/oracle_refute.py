@@ -180,6 +180,11 @@ def refute_sampled(
     return _sampled_report(w, expr, acc, analyze_sampled(acc, w, enum_cap, probe_depth), foreign_cap)
 
 
+def scheme_from_json(data: dict) -> DecompositionScheme:
+    """The inverse of ``DecompositionScheme.as_json``."""
+    return DecompositionScheme(data["a"], data["b"], data["n"])
+
+
 def replay_sampled(report: dict) -> bool:
     """:func:`freerat.refuter.replay_report`, which also replays an
     inconsistent-branch report: its transcript re-reduces, the set accepts
@@ -198,7 +203,7 @@ def _replay_inconsistent(report: dict) -> bool:
     tr = report["certificate"]["transcript"]
     base = parse_word(tr["base"])
     images = [parse_word(g) for g in tr["images"]]
-    scheme = DecompositionScheme.from_json(report["certificate"]["decomposition"]["scheme"])
+    scheme = scheme_from_json(report["certificate"]["decomposition"]["scheme"])
     return (
         parse_word(tr["value"]) == witness == base ** tr["degree"] == substitute(w, images)
         and all(g == base**r for g, r in zip(images, tr["exponents"]))

@@ -1,6 +1,8 @@
 """Rational expressions, bounded enumeration, automata, exact membership."""
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -528,6 +530,57 @@ def test_acceptor_json_shape():
     blob = acceptor_to_json(reduced_acceptor(finite("x1")))
     assert set(blob) == {"alphabet", "states", "initial", "terminals", "transitions"}
     assert blob == acceptor_to_json(reduced_acceptor(finite("x1")))
+
+
+# -- the acceptor cache ------------------------------------------------------
+# Keyed on format_ratexpr, which parse_ratexpr inverts
+# (test_format_roundtrip_random), so equal keys mean equal trees.
+
+
+def test_acceptor_cache_info_fields():
+    info = reduced_acceptor.cache_info()
+    assert info.maxsize == 512
+    assert 0 <= info.currsize <= info.maxsize
+    reduced_acceptor(finite("x1^5 x2^-3"))
+    after = reduced_acceptor.cache_info()
+    assert after.hits + after.misses == info.hits + info.misses + 1
+
+
+def test_acceptor_cache_keeps_no_tree():
+    expr = parse_ratexpr("(star (union (fin (x1^7 x2^-5)) (fin (x2^4 x1^-6))))")
+    ref = weakref.ref(expr)
+    reduced_acceptor(expr)
+    del expr
+    gc.collect()
+    assert ref() is None
+
+
+def test_acceptor_cache_hits_on_a_fresh_parse():
+    text = "(prod (star (fin (x1^3 x2))) (fin x2^-7))"
+    dfa = reduced_acceptor(parse_ratexpr(text))
+    before = reduced_acceptor.cache_info()
+    assert reduced_acceptor(parse_ratexpr(text)) is dfa
+    after = reduced_acceptor.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_acceptor_cache_evicts_least_recently_used():
+    oldest = finite("x1^9 x2^9")
+    recent = finite("x2^9 x1^9")
+    reduced_acceptor(oldest)
+    dfa = reduced_acceptor(recent)
+    fresh = [finite(f"x1^{k} x2^-1") for k in range(100, 612)]
+    for expr in fresh[:510]:
+        reduced_acceptor(expr)
+    assert reduced_acceptor(recent) is dfa  # now the most recent
+    for expr in fresh[510:]:
+        reduced_acceptor(expr)
+    before = reduced_acceptor.cache_info()
+    assert before.currsize == 512
+    assert reduced_acceptor(recent) is dfa
+    reduced_acceptor(oldest)
+    after = reduced_acceptor.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
 
 
 # -- s-expression text form -------------------------------------------------

@@ -21,7 +21,7 @@ from freerat.refuter import (
 from freerat.words import Word, parse_word, substitute
 
 from oracle_decomp import brute_decomposable, decomposable
-from oracle_refute import replay_sampled
+from oracle_refute import replay_sampled, scheme_from_json
 
 W = parse_word
 SQ = W("x1^2")
@@ -52,7 +52,7 @@ def test_scheme_validation():
 
 def test_scheme_json_roundtrip():
     s = scheme(2, 1, 3)
-    assert DecompositionScheme.from_json(s.as_json()) == s
+    assert scheme_from_json(s.as_json()) == s
 
 
 def test_extract_scheme_frozen():
@@ -170,7 +170,7 @@ def test_decomposable_rejects_negative_letters():
 
 def test_decomposable_trace_is_replayable():
     verdict, trace = decomposable(W("x1 x2 x1 x2"), scheme(1, 0, 2))
-    restored = DecompositionScheme.from_json(trace["scheme"])
+    restored = scheme_from_json(trace["scheme"])
     assert decomposable(W("x1 x2 x1 x2"), restored)[0] == verdict == trace["decomposable"]
 
 
