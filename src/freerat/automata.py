@@ -1,19 +1,20 @@
 """Exact rational-set questions over free groups, on string acceptors.
 
 :class:`Acceptor` is the one automaton type, NFA and DFA alike.
-:func:`saturate` compiles an expression into an acceptor of exactly the
-reduced forms of its set: a Thompson construction with one-letter edges,
-silent edges added to a fixpoint for every cancelling pattern
-p --ℓ--> r ~~ε~~> s --ℓ⁻¹--> q (Benois), then restriction to freely
-reduced strings.  Membership, emptiness and enumeration are then
-ordinary automaton algorithms on its DFA, and :func:`minimize` gives the
-minimal DFA of a language, on which :func:`equivalent` compares two.
+:func:`saturate` compiles an expression into an NFA for its set: a
+Thompson construction with one-letter edges, silent edges added to a
+fixpoint for every cancelling pattern p --ℓ--> r ~~ε~~> s --ℓ⁻¹--> q
+(Benois), then silent-edge elimination.  Its DFA (:func:`determinize`)
+accepts exactly the reduced forms of the set, and membership, emptiness
+and enumeration are ordinary automaton algorithms on it; :func:`minimize`
+gives the minimal DFA of a language, on which :func:`equivalent` compares two.
 """
 from __future__ import annotations
 
 from collections import deque, namedtuple
 from typing import Iterator, Optional, Sequence
 
+from freerat.errors import GaveUp
 from freerat.ratexpr import Finite, Product, RatExpr, Star, Union, format_ratexpr, max_rank
 from freerat.words import Word
 
@@ -201,8 +202,9 @@ def _build(
 
 
 def saturate(expr: RatExpr) -> Acceptor:
-    """String acceptor of exactly the reduced forms of the denoted set,
-    over the letters ±1..±max(2, rank)."""
+    """The Benois NFA over the letters ±1..±max(2, rank): it accepts only
+    strings whose value in F₂ lies in the denoted set, and among them the
+    reduced form of every element."""
     # (i) Thompson construction with one-letter edges
     letter_edges: list[tuple[int, int, int]] = []
     silent: list[tuple[int, int]] = []
@@ -234,75 +236,47 @@ def saturate(expr: RatExpr) -> Acceptor:
         if not grew:
             break
 
-    # (iii) silent-edge elimination, then restriction to reduced strings
+    # (iii) silent-edge elimination
     table = [
         tuple(lane >> ((i + 1) * n) & full for i in range(len(alphabet)))
         for lane in closed
     ]
     closes_final = sum(1 << p for p in range(n) if closed[p] >> final & 1)
-    return _restrict_reduced(alphabet, table, initial, closes_final)
-
-
-def _restrict_reduced(
-    alphabet: frozenset[int], table: list[tuple[int, ...]], initial: int, finals: int
-) -> Acceptor:
-    """Product with the two-letter-window automaton of reduced strings."""
-    # Pair states (q, position of the last letter or -1); forbid following
-    # ℓ by ℓ⁻¹.  The pairs that q reaches by the letter at position i do
-    # not depend on the last letter, so each (q, i) is expanded once.
-    letters = tuple(alphabet)
-    inverse = [letters.index(-a) if -a in alphabet else -1 for a in letters]
-    pairs: dict[tuple[int, int], int] = {(initial, -1): 0}
-    images: dict[tuple[int, int], int] = {}
-    rows: dict[int, tuple[int, ...]] = {}
-    work = [(initial, -1)]
-    while work:
-        q, last = work.pop()
-        skip = inverse[last] if last >= 0 else -1
-        row = [0] * len(letters)
-        for i, targets in enumerate(table[q]):
-            if i == skip:
-                continue
-            image = images.get((q, i))
-            if image is None:
-                image = 0
-                for t in _bits(targets):
-                    j = pairs.get((t, i))
-                    if j is None:
-                        j = pairs[(t, i)] = len(pairs)
-                        work.append((t, i))
-                    image |= 1 << j
-                images[(q, i)] = image
-            row[i] = image
-        rows[pairs[(q, last)]] = tuple(row)
-    out_finals = sum(1 << j for (q, _), j in pairs.items() if finals >> q & 1)
-    return Acceptor(alphabet, [rows[j] for j in range(len(pairs))], 1, out_finals)
+    return Acceptor(alphabet, table, 1 << initial, closes_final)
 
 
 # -- determinization and search --------------------------------------------
 
 
 def determinize(acc: Acceptor) -> Acceptor:
-    """Complete DFA over acc.alphabet; the empty set, once reached, is its
-    dead state.  States are numbered in the order a last-in first-out
-    worklist finds them, visiting letters in ``acc.letters`` order.  Every
-    state is reachable, so the language is empty exactly when ``finals``
-    is 0."""
-    ids: dict[int, int] = {acc.initial: 0}
+    """Complete DFA of the freely reduced strings that acc accepts.  A state
+    is a set of acc's states with the position of the last letter read (-1
+    before the first); the empty set, and any letter after its inverse,
+    lead to the dead state.  States are numbered in the order a last-in
+    first-out worklist finds them, visiting letters in ``acc.letters``
+    order.  Every state is reachable, so the language is empty exactly when
+    ``finals`` is 0."""
+    inverse = [acc.position.get(-a, -1) for a in acc.letters]
+    dead = (0, -1)
+    start = (acc.initial, -1)
+    ids: dict[tuple[int, int], int] = {start: 0}
     rows: dict[int, list[int]] = {}
-    work = [acc.initial]
+    work = [start]
     seen = set()
     while work:
-        states = work.pop()
-        if states in seen:
+        key = work.pop()
+        if key in seen:
             continue
-        seen.add(states)
-        row = rows[ids[states]] = []
-        for nxt in acc.successors(states):
-            row.append(ids.setdefault(nxt, len(ids)))
-            if nxt not in seen:
-                work.append(nxt)
-    finals = sum(1 << i for states, i in ids.items() if states & acc.finals)
+        seen.add(key)
+        states, last = key
+        barred = inverse[last] if last >= 0 else -1
+        row = rows[ids[key]] = []
+        for i, nxt in enumerate(acc.successors(states)):
+            nxt_key = (nxt, i) if nxt and i != barred else dead
+            row.append(ids.setdefault(nxt_key, len(ids)))
+            if nxt_key not in seen:
+                work.append(nxt_key)
+    finals = sum(1 << i for (states, _), i in ids.items() if states & acc.finals)
     unit = [1 << i for i in range(len(ids))]  # one int per state, shared by all rows
     return Acceptor(
         acc.alphabet, [tuple(unit[j] for j in rows[i]) for i in range(len(ids))], 1, finals
@@ -398,22 +372,31 @@ def longest_run(acc: Acceptor, states: int, letter: int) -> Optional[int]:
     return None
 
 
+_ENUMERATION_BUDGET = 500_000  # prefixes one enumerate_accepted call may expand
+
+
 def enumerate_accepted(acc: Acceptor, max_len: int) -> Iterator[tuple[int, ...]]:
     """All accepted strings of length <= max_len (lexicographic by length).
 
     Only prefixes that keep a live state are expanded, so a complete DFA's
-    dead state costs nothing."""
+    dead state costs nothing.  Gives up, after yielding the strings of the
+    lengths reached, before the prefixes expanded would pass the budget."""
     live = live_states(acc)
     by_letter = sorted(zip(acc.letters, range(len(acc.letters))))
     start = acc.initial & live
     layer: list[tuple[int, tuple[int, ...]]] = [(start, ())] if start else []
+    expanded = 0
     for length in range(max_len + 1):
-        nxt = []
         for states, string in layer:
             if states & acc.finals:
                 yield string
-            if length == max_len:
-                continue
+        if length == max_len or not layer:
+            break
+        expanded += len(layer)
+        if expanded > _ENUMERATION_BUDGET:
+            raise GaveUp(f"enumeration exceeded the budget of {_ENUMERATION_BUDGET} expanded prefixes")
+        nxt = []
+        for states, string in layer:
             stepped = acc.successors(states)
             for a, i in by_letter:
                 kept = stepped[i] & live

@@ -124,12 +124,12 @@ def _positivize(expr: RatExpr, left: Word, right: Word, depth: int):
 
 
 def _positivize_product(l1: RatExpr, l2: RatExpr, left: Word, right: Word, depth: int):
-    if not reduced_acceptor(l1).finals or not reduced_acceptor(l2).finals:
+    # left·L₁ is empty exactly when L₁ is, and L₂·right when L₂ is
+    s_acc = reduced_acceptor(_sandwich(left, l1, IDENTITY))
+    t_acc = reduced_acceptor(_sandwich(IDENTITY, l2, right))
+    if not s_acc.finals or not t_acc.finals:
         return EMPTY, {"case": "empty-product"}
-    mid, split_case = _middle(
-        reduced_acceptor(_sandwich(left, l1, IDENTITY)),
-        reduced_acceptor(_sandwich(IDENTITY, l2, right)),
-    )
+    mid, split_case = _middle(s_acc, t_acc)
     if positive_witness(_sandwich(left, l1, mid.inv())) is not None:
         _no_middle("the product split", "left·L₁·u⁻¹")
     if positive_witness(_sandwich(mid, l2, right)) is not None:

@@ -114,6 +114,22 @@ def _fp_ball(group: FreeProduct, cap: int) -> tuple[FPElement, ...]:
     return tuple(out)
 
 
+def _ball_size(group: Optional[FreeProduct], cap: int) -> int:
+    """The number of elements of ``free_ball(cap)`` (group None), 2·3^cap - 1,
+    or of ``_fp_ball(group, cap)``, counted without building the ball.  A
+    normal form alternates the factors, so the forms of length k + 1 ending
+    in one factor are those of length k ending in the other, times that
+    factor's exponent count."""
+    if group is None:
+        return 2 * 3**cap - 1
+    a, b = (2 * cap if m is None else m - 1 for m in group.moduli)
+    total = ends_a = ends_b = 1
+    for _ in range(cap):
+        ends_a, ends_b = a * ends_b, b * ends_a
+        total += ends_a + ends_b
+    return total
+
+
 def enumerate_values(query: VerbalQuery):
     """The set of values w(g₁, …, gₙ) with every image in the capped ball.
 
@@ -122,16 +138,13 @@ def enumerate_values(query: VerbalQuery):
     """
     w = query.w
     n = query.n_vars
+    size = _ball_size(query.group, query.substitution_cap)
+    if size**n > _EVAL_BUDGET:
+        raise GaveUp(f"{size}^{n} substitution tuples exceed the evaluation budget of {_EVAL_BUDGET}")
     if query.group is None:
-        ball: Sequence = free_ball(query.substitution_cap)
-    else:
-        ball = _fp_ball(query.group, query.substitution_cap)
-    if len(ball) ** n > _EVAL_BUDGET:
-        raise GaveUp(
-            f"{len(ball)}^{n} substitution tuples exceed the evaluation budget of {_EVAL_BUDGET}"
-        )
-    if query.group is None:
+        ball = free_ball(query.substitution_cap)
         return frozenset(substitute(w, images) for images in iter_product(ball, repeat=n))
+    ball = _fp_ball(query.group, query.substitution_cap)
     return frozenset(fp_substitute(w, images) for images in iter_product(ball, repeat=n))
 
 
@@ -207,12 +220,10 @@ def is_value(query: VerbalQuery, g: Word) -> Membership:
     cert = certify_nonvalue(w, g)
     if cert is not None:
         return Membership("no", None, cert["method"])
-    ball = free_ball(query.substitution_cap)
-    if len(ball) ** n > _LENGTH_BUDGET:
-        raise GaveUp(
-            f"{len(ball)}^{n} substitution tuples exceed the search budget of {_LENGTH_BUDGET}"
-        )
-    for images in iter_product(ball, repeat=n):
+    size = _ball_size(None, query.substitution_cap)
+    if size**n > _LENGTH_BUDGET:
+        raise GaveUp(f"{size}^{n} substitution tuples exceed the search budget of {_LENGTH_BUDGET}")
+    for images in iter_product(free_ball(query.substitution_cap), repeat=n):
         if substitute(w, images) == g:
             return Membership("yes", images, "search")
     return Membership("unknown", None, "search-exhausted")

@@ -2,6 +2,7 @@
 validation, CSV hand-off, byte-determinism, and exit codes."""
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -644,18 +645,63 @@ def test_gaps_profile_rejects_multi_syllable_b(capsys):
 # -- module entry point ----------------------------------------------------
 
 
-def test_python_m_invocation():
-    # the child finds the package where this process imported it from
+def _child_env() -> dict:
+    """The environment in which a child finds the package where this
+    process imported it from."""
     src = str(Path(freerat.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_python_m_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "freerat", "word", "reduce", "x1 x1^-1 x2"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "x2\n"
+
+
+# Inputs whose work grows without end; each must stop at a budget.  They
+# run in a child with a wall-clock timeout and an address-space limit, so a
+# regression fails in seconds, with no swap or out-of-memory kill.
+_UNBOUNDED_INPUTS = {
+    "rat-enumerate": (
+        ["rat", "enumerate", "--expr", "(star (fin x1 x2))", "--cap-len", "40"],
+        "enumeration exceeded the budget of 500000 expanded prefixes",
+    ),
+    "refute-foreign-cap": (
+        [
+            "refute", "--word", "x1^2 x2^-2 x1^2",
+            "--expr", "(star (union (fin x1^2) (fin x2^2)))", "--foreign-cap", "60",
+        ],
+        "enumeration exceeded the budget of 500000 expanded prefixes",
+    ),
+    "verbal-enum": (
+        ["verbal", "enum", "--word", "x1^2", "--cap-len", "16"],
+        "86093441^1 substitution tuples exceed the evaluation budget of 2000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNBOUNDED_INPUTS))
+def test_unbounded_input_gives_up_at_its_budget(name):
+    argv, message = _UNBOUNDED_INPUTS[name]
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "freerat", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=30,
+        preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_schema_file_is_draft_2020():

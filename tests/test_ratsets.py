@@ -335,11 +335,21 @@ def test_saturate_frozen_examples():
     acc = saturate(finite("x1"))
     assert acc.n_states == 2 and len(list(acc.transitions())) == 1
 
-    cancel = saturate(Product(finite("x1"), finite("x1^-1")))
+    cancel = reduced_acceptor(Product(finite("x1"), finite("x1^-1")))
     assert strings(cancel, 4) == {()}
 
-    loop = saturate(Star(finite("x1 x2")))
+    loop = reduced_acceptor(Star(finite("x1 x2")))
     assert strings(loop, 6) == {(), (1, 2), (1, 2, 1, 2), (1, 2, 1, 2, 1, 2)}
+
+
+def test_determinize_drops_strings_that_are_not_reduced():
+    # 0 --x1--> 1 --x1^-1--> 2, finals 1 and 2: the NFA accepts x1 and x1 x1^-1
+    alphabet = frozenset((1, -1, 2, -2))
+    edges = {(0, 1): 1, (1, -1): 2}
+    table = [tuple(1 << edges[p, a] if (p, a) in edges else 0 for a in alphabet) for p in range(3)]
+    nfa = Acceptor(alphabet, table, 1, 0b110)
+    assert strings(nfa, 4) == {(1,), (1, -1)}
+    assert strings(determinize(nfa), 4) == {(1,)}
 
 
 def test_enumerate_accepted_expands_only_live_prefixes(monkeypatch):
@@ -357,6 +367,12 @@ def test_enumerate_accepted_expands_only_live_prefixes(monkeypatch):
     monkeypatch.setattr(Acceptor, "successors", counting)
     assert list(enumerate_accepted(dfa, 8)) == [(1, 2)]
     assert calls == 3
+
+
+def test_enumerate_accepted_stops_when_no_prefix_is_left():
+    # a finite language: the layers run out long before the length cap
+    dfa = reduced_acceptor(finite("x1", "x2 x1"))
+    assert list(enumerate_accepted(dfa, 10**9)) == [(1,), (2, 1)]
 
 
 def test_reverse_accepts_exactly_the_reversed_strings():
@@ -379,12 +395,14 @@ def test_longest_run_on_a_chain_and_on_a_loop():
     assert longest_run(reverse(loop), reverse(loop).initial, 1) is None
 
 
-def test_saturate_accepts_only_reduced_strings():
+def test_reduced_acceptor_accepts_only_reduced_strings():
     for expr in EXPR_SAMPLES[:15]:
-        acc = saturate(expr)
-        for s in strings(acc, 5):
-            w = Word(s)
-            assert w.letters == s  # already reduced
+        dfa = reduced_acceptor(expr)
+        for s in strings(dfa, 5):
+            assert Word(s).letters == s  # already reduced
+        # the Benois NFA may accept unreduced strings, but only of members
+        for s in strings(saturate(expr), 5):
+            assert dfa.accepts_word(Word(s))
 
 
 def test_member_frozen_examples():

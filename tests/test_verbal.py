@@ -23,6 +23,8 @@ from freerat.verbal import (
     RefutedCase,
     SingleAxisCase,
     VerbalQuery,
+    _ball_size,
+    _fp_ball,
     abelianized_verbal,
     certify_nonvalue,
     enumerate_values,
@@ -54,6 +56,10 @@ def rand_word(rng, max_len=8):
 
 def test_free_ball_sizes():
     assert [len(free_ball(c)) for c in range(5)] == [1, 5, 17, 53, 161]
+    # the budgets count the balls in closed form, without building them
+    assert [_ball_size(None, c) for c in range(5)] == [1, 5, 17, 53, 161]
+    for group in (FREE_ZZ, FreeProduct(2, 3), FreeProduct(4, None), FreeProduct(2, 2)):
+        assert [_ball_size(group, c) for c in range(5)] == [len(_fp_ball(group, c)) for c in range(5)]
 
 
 def test_square_values_frozen():
