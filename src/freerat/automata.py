@@ -8,6 +8,8 @@ fixpoint for every cancelling pattern p --ℓ--> r ~~ε~~> s --ℓ⁻¹--> q
 accepts exactly the reduced forms of the set, and membership, emptiness
 and enumeration are ordinary automaton algorithms on it; :func:`minimize`
 gives the minimal DFA of a language, on which :func:`equivalent` compares two.
+The positive part of the set (:func:`positive_acceptor`) is the same subset
+construction on the NFA's positive letters alone, minimized.
 """
 from __future__ import annotations
 
@@ -485,6 +487,22 @@ _acceptors: dict[str, Acceptor] = {}  # least recently used first
 _hits = _misses = 0
 
 
+def _cached(key: str, build) -> Acceptor:
+    """The DFA cached under ``key``, built by ``build()`` on a miss; the
+    least recently used entry goes when the cache is full."""
+    global _hits, _misses
+    dfa = _acceptors.pop(key, None)
+    if dfa is None:
+        _misses += 1
+        dfa = build()
+        if len(_acceptors) >= _ACCEPTORS_MAX:
+            del _acceptors[next(iter(_acceptors))]
+    else:
+        _hits += 1
+    _acceptors[key] = dfa
+    return dfa
+
+
 def reduced_acceptor(expr: RatExpr) -> Acceptor:
     """Deterministic acceptor of the reduced forms of the denoted set.
 
@@ -493,21 +511,10 @@ def reduced_acceptor(expr: RatExpr) -> Acceptor:
     sound key: it is injective on trees (``Finite`` elements sorted, words
     reduced, every operator written out with its parentheses), so equal
     text means an equal tree and the same acceptor.  A miss builds the DFA
-    from the tree in hand.  ``reduced_acceptor.cache_info()`` counts as
-    ``functools.lru_cache`` does.  The cache takes no lock: nothing in the
-    package runs threads."""
-    global _hits, _misses
-    key = format_ratexpr(expr)
-    dfa = _acceptors.pop(key, None)
-    if dfa is None:
-        _misses += 1
-        dfa = determinize(saturate(expr))
-        if len(_acceptors) >= _ACCEPTORS_MAX:
-            del _acceptors[next(iter(_acceptors))]
-    else:
-        _hits += 1
-    _acceptors[key] = dfa
-    return dfa
+    from the tree in hand.  :func:`positive_acceptor` shares the cache, so
+    ``reduced_acceptor.cache_info()`` counts both, as ``functools.lru_cache``
+    counts.  The cache takes no lock: nothing in the package runs threads."""
+    return _cached(format_ratexpr(expr), lambda: determinize(saturate(expr)))
 
 
 reduced_acceptor.cache_info = lambda: _CacheInfo(_hits, _misses, _ACCEPTORS_MAX, len(_acceptors))
@@ -518,27 +525,22 @@ def member(expr: RatExpr, g: Word) -> bool:
     return reduced_acceptor(expr).accepts_word(g)
 
 
-def intersect_positive(expr: RatExpr) -> Acceptor:
-    """DFA of the positive members of a rational subset of F₂, as strings
-    over {x₁, x₂}: the states of ``reduced_acceptor(expr)`` that positive
-    letters reach from its initial state, numbered breadth-first, with no
-    edges on inverse letters."""
+def positive_acceptor(expr: RatExpr) -> Acceptor:
+    """The minimal DFA of the positive members of a rational subset of F₂,
+    with no edge on an inverse letter.
+
+    One subset construction over the positive letters of the Benois NFA:
+    a positive string is reduced, and a path of the NFA that reads it
+    reads positive letters only, so zeroing the inverse-letter columns
+    loses no member.  Cached with :func:`reduced_acceptor`'s DFAs, under
+    the expression text prefixed by ``positive``: every expression text
+    starts with a parenthesis, so the two keys of one text never meet."""
     if max_rank(expr) > 2:
         raise ValueError("positive intersection is defined over F2")
-    dfa = reduced_acceptor(expr)
-    positive = [i for i, a in enumerate(dfa.letters) if a > 0]
-    order = [dfa.initial]
-    ids = {dfa.initial: 0}
-    rows = []
-    for state in order:  # grows while it is read
-        successors = dfa.table[state.bit_length() - 1]
-        row = [0] * len(dfa.letters)
-        for i in positive:
-            nxt = successors[i]
-            if nxt not in ids:
-                ids[nxt] = len(order)
-                order.append(nxt)
-            row[i] = 1 << ids[nxt]
-        rows.append(tuple(row))
-    finals = sum(1 << i for i, state in enumerate(order) if state & dfa.finals)
-    return Acceptor(dfa.alphabet, rows, 1, finals)
+
+    def build() -> Acceptor:
+        nfa = saturate(expr)
+        table = [tuple(m if a > 0 else 0 for a, m in zip(nfa.letters, row)) for row in nfa.table]
+        return minimize(determinize(Acceptor(nfa.alphabet, table, nfa.initial, nfa.finals)))
+
+    return _cached("positive " + format_ratexpr(expr), build)

@@ -10,7 +10,8 @@ machine-checkable discrepancy certificate:
   is no value: root extraction or the abelianization obstruction, or, when
   neither applies, gap-growth evidence flagged as heuristic.
 
-The block analysis reads the minimal DFA of the positive part of L.  Each
+The block analysis reads the minimal DFA of the positive part of L
+(``automata.positive_acceptor``), which refute and replay share.  Each
 nontrivial strongly connected component (more than one state, or a
 self-loop) is a starred factor, classified exactly on its own states and
 edges (see :func:`_classify`): single-axis factors contribute power blocks,
@@ -32,8 +33,7 @@ from dataclasses import dataclass
 from freerat.automata import (
     Acceptor,
     enumerate_accepted,
-    intersect_positive,
-    minimize,
+    positive_acceptor,
     shortest_accepted,
     strong_components,
 )
@@ -79,11 +79,6 @@ class DecompositionScheme:
 
     def as_json(self) -> dict:
         return {"a": self.a, "b": self.b, "n": self.n}
-
-
-def positive_dfa(expr: RatExpr) -> Acceptor:
-    """The minimal DFA of the positive members of L(expr)."""
-    return minimize(intersect_positive(expr))
 
 
 def loop_components(acc: Acceptor) -> tuple[list[list[int]], list[bool]]:
@@ -365,7 +360,7 @@ def refute(expr: RatExpr, w: Word, *, foreign_cap: int = 10) -> RefutationReport
     if cls is WordClass.IMPROPER:
         raise ValueError("exponent gcd 1: every element is a value, nothing to refute")
 
-    acc = positive_dfa(expr)
+    acc = positive_acceptor(expr)
     analysis = _analyze(acc, w)
     if isinstance(analysis[1], RefutedCase):
         return _foreign_report(w, expr, acc, *analysis, foreign_cap)
@@ -456,7 +451,7 @@ def _replay(report: dict) -> bool:
     witness = parse_word(report["witness"])
     certificate = report["certificate"]
     outcome = report["outcome"]
-    acc = intersect_positive(expr)
+    acc = positive_acceptor(expr)
 
     def transcript_ok(tr: dict) -> bool:
         base = parse_word(tr["base"])

@@ -15,15 +15,7 @@ from functools import lru_cache
 from itertools import product as iter_product
 from typing import Iterable, Optional, Sequence
 
-from freerat.freeprod import (
-    FPElement,
-    FreeProduct,
-    Syllable,
-    cyclic_form,
-    fp_substitute,
-    support,
-    to_f2,
-)
+from freerat.freeprod import FPElement, Syllable, cyclic_form, support, to_f2
 from freerat.errors import GaveUp
 from freerat.gaps import FamilyReport, unbounded_family
 from freerat.words import (
@@ -37,24 +29,21 @@ from freerat.words import (
 
 _EVAL_BUDGET = 2_000_000
 _LENGTH_BUDGET = 500_000
-_PROBE_BUDGET = 100_000
+_PROBE_BUDGET = 500_000  # syllables held by the elements of one product probe
 
 
 @dataclass(frozen=True)
 class VerbalQuery:
     """A word with the substitution and product bounds used to explore it.
 
-    ``substitution_cap`` bounds the letter length (syllable length and
-    exponent magnitude, for free-product groups) of each substituted image;
-    ``product_cap`` bounds the number of factors in verbal-subgroup products.
-    ``group`` selects where values live: ``None`` means the free group F₂
-    itself, a :class:`FreeProduct` means values are computed there.
+    ``substitution_cap`` bounds the letter length of each substituted image
+    and ``product_cap`` the number of factors in verbal-subgroup products.
+    Values live in the free group F₂.
     """
 
     w: Word
     substitution_cap: int
     product_cap: int = 2
-    group: Optional[FreeProduct] = None
 
     def __post_init__(self):
         if not self.w.letters:
@@ -85,49 +74,10 @@ def free_ball(cap: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
-def _fp_ball(group: FreeProduct, cap: int) -> tuple[FPElement, ...]:
-    """Normal forms of syllable length <= cap.
-
-    Exponents on infinite-cyclic factors are capped at ``cap`` in magnitude
-    (finite factors contribute every nonzero residue), so this is a finite
-    slice of the group rather than a metric ball.
-    """
-    exps = {}
-    for fid, factor in group.factors.items():
-        if factor.modulus is None:
-            exps[fid] = [e for k in range(1, cap + 1) for e in (k, -k)]
-        else:
-            exps[fid] = list(range(1, factor.modulus))
-    out = [group.identity]
-    layer = [group.identity]
-    for _ in range(cap):
-        nxt = []
-        for u in layer:
-            last = u.syllables[-1][0] if u.syllables else None
-            for fid in sorted(group.factors):
-                if fid == last:
-                    continue
-                for e in exps[fid]:
-                    nxt.append(u * group.syllable(fid, e))
-        out.extend(nxt)
-        layer = nxt
-    return tuple(out)
-
-
-def _ball_size(group: Optional[FreeProduct], cap: int) -> int:
-    """The number of elements of ``free_ball(cap)`` (group None), 2·3^cap - 1,
-    or of ``_fp_ball(group, cap)``, counted without building the ball.  A
-    normal form alternates the factors, so the forms of length k + 1 ending
-    in one factor are those of length k ending in the other, times that
-    factor's exponent count."""
-    if group is None:
-        return 2 * 3**cap - 1
-    a, b = (2 * cap if m is None else m - 1 for m in group.moduli)
-    total = ends_a = ends_b = 1
-    for _ in range(cap):
-        ends_a, ends_b = a * ends_b, b * ends_a
-        total += ends_a + ends_b
-    return total
+def _ball_size(cap: int) -> int:
+    """The number of elements of ``free_ball(cap)``, 2·3^cap - 1, counted
+    without building the ball."""
+    return 2 * 3**cap - 1
 
 
 def enumerate_values(query: VerbalQuery):
@@ -138,14 +88,11 @@ def enumerate_values(query: VerbalQuery):
     """
     w = query.w
     n = query.n_vars
-    size = _ball_size(query.group, query.substitution_cap)
+    size = _ball_size(query.substitution_cap)
     if size**n > _EVAL_BUDGET:
         raise GaveUp(f"{size}^{n} substitution tuples exceed the evaluation budget of {_EVAL_BUDGET}")
-    if query.group is None:
-        ball = free_ball(query.substitution_cap)
-        return frozenset(substitute(w, images) for images in iter_product(ball, repeat=n))
-    ball = _fp_ball(query.group, query.substitution_cap)
-    return frozenset(fp_substitute(w, images) for images in iter_product(ball, repeat=n))
+    ball = free_ball(query.substitution_cap)
+    return frozenset(substitute(w, images) for images in iter_product(ball, repeat=n))
 
 
 def _single_power(w: Word) -> Optional[tuple[int, int]]:
@@ -203,8 +150,6 @@ def is_value(query: VerbalQuery, g: Word) -> Membership:
     found by the bounded substitution search; exact "no" only from
     :func:`certify_nonvalue`; otherwise "unknown".
     """
-    if query.group is not None:
-        raise ValueError("membership analysis is defined for free-group queries")
     w = query.w
     n = query.n_vars
     sp = _single_power(w)
@@ -220,7 +165,7 @@ def is_value(query: VerbalQuery, g: Word) -> Membership:
     cert = certify_nonvalue(w, g)
     if cert is not None:
         return Membership("no", None, cert["method"])
-    size = _ball_size(None, query.substitution_cap)
+    size = _ball_size(query.substitution_cap)
     if size**n > _LENGTH_BUDGET:
         raise GaveUp(f"{size}^{n} substitution tuples exceed the search budget of {_LENGTH_BUDGET}")
     for images in iter_product(free_ball(query.substitution_cap), repeat=n):
@@ -238,8 +183,6 @@ def w_length(query: VerbalQuery, g: Word) -> Optional[int]:
     cased exactly at length 1 via root extraction).  None means g was not
     reached within ``product_cap`` factors.
     """
-    if query.group is not None:
-        raise ValueError("length analysis is defined for free-group queries")
     if g == IDENTITY:
         return 0
     sp = _single_power(query.w)
@@ -317,14 +260,25 @@ class RefutedCase:
 
 
 def _bounded_products(elements: Sequence[FPElement], depth: int) -> set[FPElement]:
+    """The nonidentity products of 1 to ``depth`` factors of ``elements``.
+
+    The budget counts the syllables the products hold, the work that
+    builds them: with one generator each layer holds one element, so an
+    element count grows with the depth while the syllables grow with its
+    square.  A layer with no new product ends the search, since every later
+    layer then repeats earlier ones."""
     group = elements[0].group
     out: set[FPElement] = set()
     layer = {group.identity}
+    held = 0
     for _ in range(depth):
-        layer = {u * g for u in layer for g in elements}
+        layer = {u * g for u in layer for g in elements} - out
+        if not layer:
+            break
         out |= layer
-        if len(out) > _PROBE_BUDGET:
-            raise GaveUp(f"product probe exceeded the budget of {_PROBE_BUDGET} elements")
+        held += sum(len(u) for u in layer)
+        if held > _PROBE_BUDGET:
+            raise GaveUp(f"product probe exceeded the budget of {_PROBE_BUDGET} syllables")
     out.discard(group.identity)
     return out
 

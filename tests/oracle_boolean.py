@@ -6,10 +6,15 @@ complement of the other.  ``automata.equivalent`` compares minimal DFAs
 instead, so the two share no logic beyond ``determinize``.  The other
 oracles build their own product automata from ``intersect`` and
 ``difference``.
+
+``positive_walk`` is the reference for ``automata.positive_acceptor``: it
+restricts the full reduced DFA to positive letters, where the library runs
+its subset construction on the positive letters alone.
 """
 from __future__ import annotations
 
-from freerat.automata import Acceptor, determinize, shortest_accepted
+from freerat.automata import Acceptor, determinize, reduced_acceptor, shortest_accepted
+from freerat.ratexpr import RatExpr, max_rank
 
 
 def intersect(a: Acceptor, b: Acceptor) -> Acceptor:
@@ -81,3 +86,29 @@ def is_empty(acc: Acceptor) -> bool:
 
 def equivalent_by_difference(a: Acceptor, b: Acceptor) -> bool:
     return is_empty(difference(a, b)) and is_empty(difference(b, a))
+
+
+def positive_walk(expr: RatExpr) -> Acceptor:
+    """DFA of the positive members of a rational subset of F₂, as strings
+    over {x₁, x₂}: the states of ``reduced_acceptor(expr)`` that positive
+    letters reach from its initial state, numbered breadth-first, with no
+    edges on inverse letters."""
+    if max_rank(expr) > 2:
+        raise ValueError("positive intersection is defined over F2")
+    dfa = reduced_acceptor(expr)
+    positive = [i for i, a in enumerate(dfa.letters) if a > 0]
+    order = [dfa.initial]
+    ids = {dfa.initial: 0}
+    rows = []
+    for state in order:  # grows while it is read
+        successors = dfa.table[state.bit_length() - 1]
+        row = [0] * len(dfa.letters)
+        for i in positive:
+            nxt = successors[i]
+            if nxt not in ids:
+                ids[nxt] = len(order)
+                order.append(nxt)
+            row[i] = 1 << ids[nxt]
+        rows.append(tuple(row))
+    finals = sum(1 << i for i, state in enumerate(order) if state & dfa.finals)
+    return Acceptor(dfa.alphabet, rows, 1, finals)

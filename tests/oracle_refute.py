@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from freerat.automata import (
     Acceptor,
     enumerate_accepted,
-    intersect_positive,
+    positive_acceptor,
     reduced_acceptor,
     shortest_accepted,
 )
@@ -38,7 +38,6 @@ from freerat.refuter import (
     _foreign_report,
     _transcript_report,
     loop_components,
-    positive_dfa,
     refute,
     replay_report,
     witness_word,
@@ -174,7 +173,7 @@ def refute_sampled(
 ) -> RefutationReport:
     """The refutation report with each looping component classified on
     samples; a finite positive part takes the refuter's own path."""
-    acc = positive_dfa(expr)
+    acc = positive_acceptor(expr)
     if not any(loop_components(acc)[1]):
         return refute(expr, w, foreign_cap=foreign_cap)
     return _sampled_report(w, expr, acc, analyze_sampled(acc, w, enum_cap, probe_depth), foreign_cap)
@@ -207,7 +206,7 @@ def _replay_inconsistent(report: dict) -> bool:
     return (
         parse_word(tr["value"]) == witness == base ** tr["degree"] == substitute(w, images)
         and all(g == base**r for g, r in zip(images, tr["exponents"]))
-        and intersect_positive(parse_ratexpr(report["expression"])).accepts_word(witness)
+        and positive_acceptor(parse_ratexpr(report["expression"])).accepts_word(witness)
         and not decomposable(witness, scheme)[0]
     )
 
@@ -320,7 +319,7 @@ def refute_by_standard_form(
     own path."""
     if not all(g.is_positive() for g in leaf_words(expr)):
         raise ValueError("the standard-form scheme needs positive leaves")
-    acc = positive_dfa(expr)
+    acc = positive_acceptor(expr)
     if not any(loop_components(acc)[1]):
         return refute(expr, w, foreign_cap=foreign_cap)
     analysis = analyze_standard_form(standard_form(expr), w, enum_cap, probe_depth)

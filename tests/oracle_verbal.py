@@ -3,12 +3,18 @@
 Kept separate from the test module so the frozen expectations in
 test_verbal.py are checked against code with no shared logic beyond the
 exactly-tested primitives (root_extract, exponent_profile).
+
+``fp_ball`` and ``fp_values`` enumerate values in a free product of two
+cyclic groups, which the library's verbal queries do not: they live in
+F₂ only.
 """
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Iterable, Optional
 
+from freerat.freeprod import FPElement, FreeProduct, fp_substitute
 from freerat.verbal import free_ball
 from freerat.words import Word, root_extract
 
@@ -58,3 +64,51 @@ def two_square_decomposition(t: Word, u_cap: int = 6) -> Optional[tuple[Word, Wo
         if v is not None:
             return u, v
     return None
+
+
+def fp_ball(group: FreeProduct, cap: int) -> tuple[FPElement, ...]:
+    """Normal forms of syllable length <= cap.
+
+    Exponents on infinite-cyclic factors are capped at ``cap`` in magnitude
+    (finite factors contribute every nonzero residue), so this is a finite
+    slice of the group rather than a metric ball.
+    """
+    exps = {}
+    for fid, factor in group.factors.items():
+        if factor.modulus is None:
+            exps[fid] = [e for k in range(1, cap + 1) for e in (k, -k)]
+        else:
+            exps[fid] = list(range(1, factor.modulus))
+    out = [group.identity]
+    layer = [group.identity]
+    for _ in range(cap):
+        nxt = []
+        for u in layer:
+            last = u.syllables[-1][0] if u.syllables else None
+            for fid in sorted(group.factors):
+                if fid == last:
+                    continue
+                for e in exps[fid]:
+                    nxt.append(u * group.syllable(fid, e))
+        out.extend(nxt)
+        layer = nxt
+    return tuple(out)
+
+
+def fp_ball_size(group: FreeProduct, cap: int) -> int:
+    """The number of elements of ``fp_ball(group, cap)``, counted without
+    building the ball.  A normal form alternates the factors, so the forms
+    of length k + 1 ending in one factor are those of length k ending in
+    the other, times that factor's exponent count."""
+    a, b = (2 * cap if m is None else m - 1 for m in group.moduli)
+    total = ends_a = ends_b = 1
+    for _ in range(cap):
+        ends_a, ends_b = a * ends_b, b * ends_a
+        total += ends_a + ends_b
+    return total
+
+
+def fp_values(w: Word, cap: int, group: FreeProduct) -> frozenset[FPElement]:
+    """The values of w in the group with every image in ``fp_ball(group, cap)``."""
+    ball = fp_ball(group, cap)
+    return frozenset(fp_substitute(w, images) for images in product(ball, repeat=w.max_generator()))

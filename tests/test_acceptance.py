@@ -9,7 +9,7 @@ import json
 import random
 import time
 
-from oracle_boolean import intersect
+from oracle_boolean import intersect, positive_walk
 from oracle_enum import enumerate_bounded
 from oracle_decomp import decomposable
 from oracle_refute import refute_by_standard_form, refute_sampled, replay_sampled
@@ -21,7 +21,8 @@ from oracle_words import bezout_substitution
 from freerat.automata import (
     enumerate_accepted,
     equivalent,
-    intersect_positive,
+    minimize,
+    positive_acceptor,
     reduced_acceptor,
 )
 from freerat.freeprod import FREE_ZZ, FreeProduct, to_f2
@@ -37,7 +38,7 @@ from freerat.ratexpr import (
     parse_ratexpr,
 )
 from freerat.errors import GaveUp
-from freerat.refuter import _analyze, loop_components, positive_dfa, refute, replay_report
+from freerat.refuter import _analyze, loop_components, refute, replay_report
 from freerat import signs
 from freerat.signs import positive_witness, positivize
 from freerat.verbal import abelianized_verbal
@@ -200,7 +201,7 @@ def test_c03_member_matches_enumeration_on_corpus():
 def test_c04_positive_intersection_matches_enumeration():
     start = time.perf_counter()
     for expr, enumerated in _corpus_enumerations():
-        acc = intersect_positive(expr)
+        acc = positive_acceptor(expr)
         accepted = set(enumerate_accepted(acc, 8))
         expected = {w.letters for w in enumerated if w.is_positive()}
         assert accepted == expected
@@ -436,15 +437,28 @@ def test_c09_refuter_certificates_replay_on_corpus():
     assert time.perf_counter() - start < 120.0
 
 
-def test_intersect_positive_is_the_product_with_positive_strings_on_corpus():
-    # the refuter's input: the cached DFA restricted to positive letters
-    # accepts what its product with the one-state positive universe does,
-    # and keeps only the states that product reaches
+def test_positive_acceptor_is_the_product_with_positive_strings_on_corpus():
+    # the refuter's input accepts what the reduced DFA's product with the
+    # one-state positive universe does, in as many states as that
+    # product's minimal DFA
     for expr in _refuter_corpus():
         product = intersect(reduced_acceptor(expr), positive_universe())
-        got = intersect_positive(expr)
+        got = positive_acceptor(expr)
         assert equivalent(got, product), format_ratexpr(expr)
-        assert got.n_states == product.n_states
+        assert got.n_states == minimize(product).n_states
+
+
+def test_positive_acceptor_matches_the_positive_walk():
+    # the subset construction over positive letters against the walk over
+    # the full reduced DFA that it replaced, on the c09 corpus and 300
+    # mixed-sign trees: one language, one minimal size, no inverse edge
+    rng = random.Random(20261021)
+    exprs = list(_refuter_corpus()) + [_mixed_sign_tree(rng, rng.randint(1, 4)) for _ in range(300)]
+    for expr in exprs:
+        got, walk = positive_acceptor(expr), positive_walk(expr)
+        assert equivalent(got, walk), format_ratexpr(expr)
+        assert got.n_states == minimize(walk).n_states, format_ratexpr(expr)
+        assert all(a > 0 for _, a, _ in got.transitions()), format_ratexpr(expr)
 
 
 def _mixed_sign_tree(rng, depth: int):
@@ -472,7 +486,7 @@ def test_no_looping_component_matches_pumping_oracle_on_corpus():
     exprs = list(_refuter_corpus()) + [_mixed_sign_tree(rng, rng.randint(1, 4)) for _ in range(200)]
     verdicts = set()
     for expr in exprs:
-        acc = positive_dfa(expr)
+        acc = positive_acceptor(expr)
         n = acc.n_states
         infinite = any(len(s) >= n for s in enumerate_accepted(acc, 2 * n - 1))
         assert any(loop_components(acc)[1]) == infinite, format_ratexpr(expr)
@@ -591,7 +605,7 @@ def test_accepted_positive_strings_decompose_under_the_scheme():
     start = time.perf_counter()
     schemes = 0
     for expr, w in _refuter_cases():
-        acc = positive_dfa(expr)
+        acc = positive_acceptor(expr)
         analysis = _analyze(acc, w)
         if isinstance(analysis[0], int):
             continue  # a refuted component: no scheme

@@ -537,6 +537,12 @@ def test_refute_rejects_commutator_word(capsys):
     assert "commutator" in err
 
 
+def test_refute_rejects_a_candidate_over_more_than_two_generators(capsys):
+    code, out, err = run_cli(capsys, "refute", "--word", "x1^2", "--expr", "(star (fin x1^2 x3^2))")
+    assert (code, out) == (1, "")
+    assert err == "error: positive intersection is defined over F2\n"
+
+
 # -- determinism -----------------------------------------------------------
 
 
@@ -681,6 +687,10 @@ _UNBOUNDED_INPUTS = {
     "verbal-enum": (
         ["verbal", "enum", "--word", "x1^2", "--cap-len", "16"],
         "86093441^1 substitution tuples exceed the evaluation budget of 2000000",
+    ),
+    "verbal-dichotomy": (
+        ["verbal", "dichotomy", "--word", "x1^2", "--gen", "a b", "--budget", "1000000"],
+        "product probe exceeded the budget of 500000 syllables",
     ),
 }
 

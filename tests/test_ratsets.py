@@ -12,10 +12,10 @@ from freerat.automata import (
     determinize,
     enumerate_accepted,
     equivalent,
-    intersect_positive,
     longest_run,
     member,
     minimize,
+    positive_acceptor,
     reduced_acceptor,
     reverse,
     saturate,
@@ -44,6 +44,7 @@ from oracle_boolean import (
     equivalent_by_difference,
     intersect,
     is_empty,
+    positive_walk,
 )
 from oracle_enum import enumerate_bounded, finite
 from oracle_refute import Summand, standard_form
@@ -288,7 +289,7 @@ def _accepts_from(acc: Acceptor, state: int, string) -> bool:
 
 def test_minimize_is_equivalent_with_pairwise_distinct_states():
     for expr in EXPR_SAMPLES + EXPR_DEEP:
-        for dfa in (reduced_acceptor(expr), intersect_positive(expr)):
+        for dfa in (reduced_acceptor(expr), positive_walk(expr)):
             small = minimize(dfa)
             # the reference shares no code with minimize; equivalent does
             assert equivalent_by_difference(small, dfa), format_ratexpr(expr)
@@ -311,7 +312,7 @@ def test_minimize_numbers_states_by_the_language_alone():
     assert (a.table, a.initial, a.finals) == (b.table, b.initial, b.finals)
     assert a.n_states == 2
     # breadth-first from the initial state: x1 before x2
-    c = minimize(intersect_positive(Union(finite("x2 x2"), finite("x1"))))
+    c = positive_acceptor(Union(finite("x2 x2"), finite("x1")))
     assert c.initial == 1
     assert c.step(1, 1) == 1 << 1 and c.step(1, 2) == 1 << 2
     assert minimize(c).table == c.table
@@ -319,9 +320,10 @@ def test_minimize_numbers_states_by_the_language_alone():
 
 def test_minimize_of_the_empty_language_has_no_states():
     for expr in (EMPTY, finite("x1^-1"), Product(finite("x1"), finite("x1^-1 x2^-1"))):
-        small = minimize(intersect_positive(expr))
+        small = minimize(positive_walk(expr))
         assert (small.n_states, small.initial, small.finals) == (0, 0, 0)
         assert is_empty(small)
+        assert positive_acceptor(expr).table == small.table
 
 
 # -- saturation and membership ---------------------------------------------
@@ -522,23 +524,23 @@ def test_equivalent_matches_the_difference_search():
 # -- positive intersection over F2 -----------------------------------------
 
 
-def test_intersect_positive_frozen_examples():
-    got = intersect_positive(Finite([x1, x1.inv()]))
+def test_positive_acceptor_frozen_examples():
+    got = positive_acceptor(Finite([x1, x1.inv()]))
     assert strings(got, 3) == {(1,)}
 
-    only_identity = intersect_positive(Star(finite("x1 x2^-1")))
+    only_identity = positive_acceptor(Star(finite("x1 x2^-1")))
     assert strings(only_identity, 4) == {()}
 
-    everything = intersect_positive(Star(Finite([x1, x2])))
+    everything = positive_acceptor(Star(Finite([x1, x2])))
     found = strings(everything, 4)
     assert found == {
         s for n in range(5) for s in itertools.product((1, 2), repeat=n)
     }
 
 
-def test_intersect_positive_rejects_higher_rank():
-    with pytest.raises(ValueError):
-        intersect_positive(finite("x3"))
+def test_positive_acceptor_rejects_higher_rank():
+    with pytest.raises(ValueError, match="positive intersection is defined over F2"):
+        positive_acceptor(finite("x3"))
 
 
 # -- acceptor JSON export ---------------------------------------------------
@@ -599,6 +601,17 @@ def test_acceptor_cache_evicts_least_recently_used():
     reduced_acceptor(oldest)
     after = reduced_acceptor.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
+
+
+def test_positive_acceptor_has_its_own_cache_entry():
+    # one expression text keys two DFAs, the reduced one and its positive part
+    expr = parse_ratexpr("(star (fin (x1^13 x2^-1) (x2 x1^13)))")
+    before = reduced_acceptor.cache_info()
+    positive, reduced = positive_acceptor(expr), reduced_acceptor(expr)
+    assert positive is not reduced
+    assert positive_acceptor(expr) is positive and reduced_acceptor(expr) is reduced
+    after = reduced_acceptor.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 2, before.hits + 2)
 
 
 # -- s-expression text form -------------------------------------------------

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from freerat.automata import positive_acceptor, reduced_acceptor
 from freerat.ratexpr import Finite, Product, Star, Union
 from freerat.refuter import (
     DecompositionScheme,
@@ -13,7 +14,6 @@ from freerat.refuter import (
     _classify,
     _loop_supports,
     loop_components,
-    positive_dfa,
     refute,
     replay_report,
     witness_word,
@@ -30,7 +30,7 @@ SQ = W("x1^2")
 def extract_scheme(expr, w):
     """The block scheme of the positive part of expr, without the
     per-branch records."""
-    s, _ = _analyze(positive_dfa(expr), w)
+    s, _ = _analyze(positive_acceptor(expr), w)
     return s
 
 
@@ -79,7 +79,7 @@ def test_extract_scheme_frozen():
 
 def test_extract_scheme_returns_refuted_branch():
     expr = Star(Finite([W("x1 x2"), W("x1 x2^2")]))
-    component, case = _analyze(positive_dfa(expr), SQ)
+    component, case = _analyze(positive_acceptor(expr), SQ)
     assert case.exact
     assert component == 0
 
@@ -90,7 +90,7 @@ def test_loop_read_at_the_component_first_state():
     # component is read at state 0: its first loop there is (x1 x2)^2, and
     # the first with another cyclic support is x1 x2 x1^2 x2 x1 x2.
     expr = Star(Product(Finite([W("x1 x2")]), Finite([W("x1"), W("x1 x2")])))
-    acc = positive_dfa(expr)
+    acc = positive_acceptor(expr)
     components, looping = loop_components(acc)
     assert looping == [True] and sorted(components[0]) == [0, 1, 2, 3]
     assert _loop_supports(acc, 0b1111, 0) == [
@@ -103,7 +103,7 @@ def test_loop_read_at_the_component_first_state():
     assert replay_report(report.as_json())
     # on a simple cycle, the state nearest the initial one, with its one
     # cyclic support
-    acc = positive_dfa(Product(Finite([W("x2")]), Star(Finite([W("x1 x2 x1")]))))
+    acc = positive_acceptor(Product(Finite([W("x2")]), Star(Finite([W("x1 x2 x1")]))))
     components, looping = loop_components(acc)
     (cycle,) = [c for c, loops in zip(components, looping) if loops]
     assert sorted(cycle) == [1, 2, 3]
@@ -117,7 +117,7 @@ def test_loop_components_finish_after_what_they_reach():
         Product(Star(Finite([W("x1")])), Finite([W("x2")])),
         Product(Star(Finite([W("x1 x2")])), Finite([W("x2")])),
     )
-    acc = positive_dfa(expr)
+    acc = positive_acceptor(expr)
     components, looping = loop_components(acc)
     assert [sorted(c) for c in components] == [[3], [1, 2], [0]]
     assert looping == [False, True, True]
@@ -367,3 +367,13 @@ def test_replay_rejects_malformed_reports():
         (abelian, lambda r: r["certificate"]["nonvalue"].update(modulus="2")),
     ):
         assert not replay_report(_edited(report, edit))
+
+
+def test_refute_and_replay_build_one_positive_acceptor():
+    # the replay reads the DFA the refutation cached: one miss, one hit
+    expr = Star(Finite([W("x1^11 x2^7 x1^3")]))
+    before = reduced_acceptor.cache_info()
+    report = refute(expr, SQ)
+    assert replay_report(report.as_json())
+    after = reduced_acceptor.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)

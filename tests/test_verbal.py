@@ -1,6 +1,7 @@
 """Verbal subsets: value enumeration, membership, length, abelianization,
 and the support dichotomy for positive sub-semigroups."""
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,6 @@ from freerat.verbal import (
     SingleAxisCase,
     VerbalQuery,
     _ball_size,
-    _fp_ball,
     abelianized_verbal,
     certify_nonvalue,
     enumerate_values,
@@ -36,7 +36,7 @@ from freerat.verbal import (
 from freerat.words import IDENTITY, Word, exponent_profile, parse_word, root_extract, substitute
 
 from oracle_gaps import family_member
-from oracle_verbal import lattice_index, two_square_decomposition
+from oracle_verbal import fp_ball, fp_ball_size, fp_values, lattice_index, two_square_decomposition
 
 W = parse_word
 SQ = W("x1^2")
@@ -56,10 +56,11 @@ def rand_word(rng, max_len=8):
 
 def test_free_ball_sizes():
     assert [len(free_ball(c)) for c in range(5)] == [1, 5, 17, 53, 161]
-    # the budgets count the balls in closed form, without building them
-    assert [_ball_size(None, c) for c in range(5)] == [1, 5, 17, 53, 161]
+    # the budgets count the ball in closed form, without building it; the
+    # oracle counts free-product balls the same way
+    assert [_ball_size(c) for c in range(5)] == [1, 5, 17, 53, 161]
     for group in (FREE_ZZ, FreeProduct(2, 3), FreeProduct(4, None), FreeProduct(2, 2)):
-        assert [_ball_size(group, c) for c in range(5)] == [len(_fp_ball(group, c)) for c in range(5)]
+        assert [fp_ball_size(group, c) for c in range(5)] == [len(fp_ball(group, c)) for c in range(5)]
 
 
 def test_square_values_frozen():
@@ -90,7 +91,7 @@ def test_values_monotone_in_cap():
 
 def test_values_in_free_product_with_torsion():
     group = FreeProduct(None, 2)
-    vals = enumerate_values(VerbalQuery(SQ, 1, group=group))
+    vals = fp_values(SQ, 1, group)
     assert {format_fp(v) for v in vals} == {"1", "a^2", "a^-2"}
 
 
@@ -286,6 +287,16 @@ def test_dichotomy_torsion_factor_closure():
     got = support_dichotomy_check([e], group.identity, group.identity, SQ)
     assert isinstance(got, CommonSupportCase)
     assert got.syllables == frozenset({("a", 1), ("b", 1)})
+
+
+def test_dichotomy_probe_stops_when_products_repeat():
+    # in ℤ/2 ∗ ℤ the products of a alternate a, 1: the probe ends at once
+    group = FreeProduct(2, None)
+    a = group.element((("a", 1),))
+    start = time.perf_counter()
+    got = support_dichotomy_check([a], group.identity, group.identity, SQ, budget=10**7)
+    assert got == SingleAxisCase("a")
+    assert time.perf_counter() - start < 5.0
 
 
 def test_dichotomy_validation():
