@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from freerat.automata import enumerate_accepted, member, reduced_acceptor
+from freerat.automata import enumerate_accepted, text_acceptor
 from freerat.errors import GaveUp
 from freerat.freeprod import (
     FREE_ZZ,
@@ -81,13 +81,15 @@ def _syllable(text: str, group: FreeProduct) -> Syllable:
     return element.syllables[0]
 
 
-def _load_expr(value: str):
+def _expr_text(value: str) -> str:
+    """The expression text of an ``--expr`` value: a file's contents, or
+    the value itself."""
     path = Path(value)
     try:
         is_file = path.exists()
     except OSError:  # inline text longer than a file name may be
         is_file = False
-    return parse_ratexpr(path.read_text() if is_file else value)
+    return path.read_text() if is_file else value
 
 
 # -- word -------------------------------------------------------------------
@@ -138,19 +140,24 @@ def _fp_cyclic(args) -> int:
 
 
 def _rat_member(args) -> int:
-    expr = _load_expr(args.expr)
-    w = parse_word(args.word)
+    expr_text = _expr_text(args.expr)
+    try:
+        w = parse_word(args.word)
+    except ValueError:
+        parse_ratexpr(expr_text)  # a bad expression is reported first, and no DFA is built
+        raise
+    text, dfa = text_acceptor(expr_text)
     result = {
-        "expression": format_ratexpr(expr),
+        "expression": text,
         "word": format_word(w),
-        "member": member(expr, w),
+        "member": dfa.accepts_word(w),
     }
     _emit(args, "rat.member", {}, result)
     return 0
 
 
 def _rat_positive(args) -> int:
-    expr = _load_expr(args.expr)
+    expr = parse_ratexpr(_expr_text(args.expr))
     witness = positive_witness(expr)
     result = {
         "expression": format_ratexpr(expr),
@@ -164,10 +171,10 @@ def _rat_positive(args) -> int:
 def _rat_enumerate(args) -> int:
     if args.cap_len < 0:
         raise ValueError(f"--cap-len must be nonnegative, got {args.cap_len}")
-    expr = _load_expr(args.expr)
-    words = sorted(Word(s) for s in enumerate_accepted(reduced_acceptor(expr), args.cap_len))
+    text, dfa = text_acceptor(_expr_text(args.expr))
+    words = sorted(Word(s) for s in enumerate_accepted(dfa, args.cap_len))
     result = {
-        "expression": format_ratexpr(expr),
+        "expression": text,
         "cap": args.cap_len,
         "count": len(words),
         "words": [format_word(w) for w in words],
@@ -180,7 +187,7 @@ def _rat_enumerate(args) -> int:
 
 
 def _sign_positivize(args) -> int:
-    expr = _load_expr(args.expr)
+    expr = parse_ratexpr(_expr_text(args.expr))
     left = parse_word(args.left)
     right = parse_word(args.right)
     outcome = positivize(expr, left, right)
@@ -347,7 +354,7 @@ def _verbal_dichotomy(args) -> int:
 
 
 def _refute(args) -> int:
-    expr = _load_expr(args.expr)
+    expr = parse_ratexpr(_expr_text(args.expr))
     w = parse_word(args.word)
     report = refute(expr, w, foreign_cap=args.foreign_cap)
     payload = report.as_json()

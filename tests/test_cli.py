@@ -12,10 +12,12 @@ import jsonschema
 import pytest
 
 import freerat
-from freerat.automata import equivalent, reduced_acceptor
+import freerat.automata as automata
+import freerat.cli as cli
+from freerat.automata import equivalent, positive_acceptor, reduced_acceptor
 from freerat.cli import SCHEMA_ID, main
 from freerat.errors import GaveUp
-from freerat.ratexpr import MAX_DEPTH, Finite, Product, leaf_words, parse_ratexpr
+from freerat.ratexpr import MAX_DEPTH, Finite, Product, Star, leaf_words, parse_ratexpr
 from freerat.words import MAX_WORD_LETTERS, parse_word
 
 SCHEMA = json.loads(
@@ -147,6 +149,96 @@ def test_rat_expr_from_file(capsys, tmp_path):
         capsys, "rat", "enumerate", "--expr", str(path), "--cap-len", "2"
     )["result"]
     assert result["words"] == ["1", "x1 x2"]
+
+
+# -- rat member and rat enumerate answer a cached text without parsing it
+
+
+WARM_EXPR = "(prod (star (fin (x1 x2^-1))) (fin x1^-4 x2^5))"
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty acceptor cache for one test, so its cold runs are misses."""
+    monkeypatch.setattr(automata, "_acceptors", {})
+
+
+def test_warm_rat_member_and_enumerate_skip_the_parse(capsys, monkeypatch, tmp_path, fresh_cache):
+    path = tmp_path / "warm.sexp"
+    path.write_text(WARM_EXPR + "\n")
+    requests = [
+        ("rat", "member", "--expr", WARM_EXPR, "--word", "x1 x2^-1 x2^5"),
+        ("rat", "enumerate", "--expr", WARM_EXPR, "--cap-len", "4"),
+        ("rat", "member", "--expr", str(path), "--word", "x1 x2^-1 x2^5"),
+    ]
+    before = reduced_acceptor.cache_info()
+    cold = [run_cli(capsys, *argv) for argv in requests]
+    assert [code for code, _, _ in cold] == [0, 0, 0]
+    assert cold[2] == cold[0]
+    assert json.loads(cold[0][1])["result"]["member"] is True
+
+    def refuse(text):
+        raise AssertionError(f"parsed a cached text: {text!r}")
+
+    monkeypatch.setattr(automata, "parse_ratexpr", refuse)
+    monkeypatch.setattr(cli, "parse_ratexpr", refuse)
+    warm = [run_cli(capsys, *argv) for argv in requests]
+    assert warm == cold
+    after = reduced_acceptor.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 5, before.misses + 1)
+
+
+def test_rat_member_refuses_a_positive_cache_key(capsys, fresh_cache):
+    positive_acceptor(parse_ratexpr("(fin x1)"))
+    for argv in (
+        ("rat", "member", "--expr", "positive (fin x1)", "--word", "x1"),
+        ("rat", "enumerate", "--expr", "positive (fin x1)", "--cap-len", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_rat_member_prints_the_canonical_text(capsys, tmp_path, fresh_cache):
+    canonical = "(star (fin x1 (x2 x1^-1)))"
+    path = tmp_path / "expr.sexp"
+    path.write_text(canonical + "\n")
+    texts = ["  (star  (fin (x2 x1^-1)\tx1 ))\n", canonical, str(path), "(star (fin (x2 x1^-1) x1))"]
+    for text in texts:
+        result = run_json(capsys, "rat", "member", "--expr", text, "--word", "x2 x1^-1 x1")["result"]
+        assert (result["expression"], result["word"], result["member"]) == (canonical, "x2", True)
+        result = run_json(capsys, "rat", "enumerate", "--expr", text, "--cap-len", "2")["result"]
+        assert result["expression"] == canonical
+        assert result["words"] == ["1", "x1", "x2", "x1^2", "x1 x2", "x2 x1^-1", "x2 x1", "x2^2"]
+
+
+def test_rat_member_with_a_bad_word_builds_no_dfa(capsys, fresh_cache):
+    for _ in range(2):  # cold, then with the expression's DFA cached
+        before = reduced_acceptor.cache_info()
+        code, out, err = run_cli(capsys, "rat", "member", "--expr", WARM_EXPR, "--word", "x0")
+        assert (code, out, err) == (1, "", "error: generator index must be >= 1 at position 1: 'x0'\n")
+        assert reduced_acceptor.cache_info()[:2] == before[:2]
+        reduced_acceptor(parse_ratexpr(WARM_EXPR))
+    # a bad expression is reported before a bad word
+    code, out, err = run_cli(capsys, "rat", "member", "--expr", "(fin", "--word", "x0")
+    assert (code, out, err) == (1, "", "error: missing ')' for fin at position 2\n")
+
+
+def test_a_cached_text_past_the_parser_limits_is_still_refused(capsys, monkeypatch, fresh_cache):
+    # a tree built in the process may nest deeper than the parser allows
+    deep = Finite([parse_word("x1")])
+    for _ in range(MAX_DEPTH + 1):
+        deep = Star(deep)
+    reduced_acceptor(deep)
+    code, out, err = run_cli(capsys, "rat", "member", "--expr", _nested_stars(MAX_DEPTH + 1), "--word", "x1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: operators nest deeper than") and err.count("\n") == 1
+    # or hold a word longer than a parsed word may be
+    long_word = f"(fin x1^{MAX_WORD_LETTERS + 1})"
+    monkeypatch.setitem(automata._acceptors, long_word, reduced_acceptor(parse_ratexpr("(fin x1)")))
+    code, out, err = run_cli(capsys, "rat", "member", "--expr", long_word, "--word", "x1")
+    assert (code, out) == (1, "")
+    assert err == f"error: word longer than {MAX_WORD_LETTERS} letters at position 1\n"
 
 
 def test_sign_positivize(capsys):

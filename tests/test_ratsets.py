@@ -7,19 +7,20 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import freerat.automata as automata
 from freerat.automata import (
     Acceptor,
     determinize,
     enumerate_accepted,
     equivalent,
     longest_run,
-    member,
     minimize,
     positive_acceptor,
     reduced_acceptor,
     reverse,
     saturate,
     shortest_accepted,
+    text_acceptor,
 )
 from freerat.ratexpr import (
     EMPTY,
@@ -214,7 +215,7 @@ def test_hom_image_commutes_with_enumeration():
         img = hom_image(expr, images)
         assert complexity(img) <= complexity(expr)
         for w in sorted(enumerate_bounded(expr, 3, slack=4))[:8]:
-            assert member(img, substitute(w, images))
+            assert reduced_acceptor(img).accepts_word(substitute(w, images))
 
 
 # -- standard form ----------------------------------------------------------
@@ -408,9 +409,9 @@ def test_reduced_acceptor_accepts_only_reduced_strings():
 
 
 def test_member_frozen_examples():
-    assert member(Star(finite("x1 x2")), IDENTITY)
-    assert member(Star(finite("x1")), IDENTITY)
-    assert not member(Star(finite("x1")), x2)
+    assert reduced_acceptor(Star(finite("x1 x2"))).accepts_word(IDENTITY)
+    assert reduced_acceptor(Star(finite("x1"))).accepts_word(IDENTITY)
+    assert not reduced_acceptor(Star(finite("x1"))).accepts_word(x2)
 
 
 def test_member_matches_enumeration_oracle():
@@ -422,10 +423,10 @@ def test_member_matches_enumeration_oracle():
     for expr in EXPR_SAMPLES[:20]:
         denoted = enumerate_bounded(expr, 4, slack=8)
         for w in sorted(denoted)[:8]:
-            assert member(expr, w), (format_ratexpr(expr), w)
+            assert reduced_acceptor(expr).accepts_word(w), (format_ratexpr(expr), w)
         for w in probes:
             if len(w) <= 4:
-                assert member(expr, w) == (w in denoted), (format_ratexpr(expr), w)
+                assert reduced_acceptor(expr).accepts_word(w) == (w in denoted), (format_ratexpr(expr), w)
 
 
 # -- Boolean operations -----------------------------------------------------
@@ -603,6 +604,39 @@ def test_acceptor_cache_evicts_least_recently_used():
     assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
 
 
+def test_text_acceptor_counts_as_the_parse_path(monkeypatch):
+    # canonical, respaced, reordered, repeated and positive-keyed texts
+    texts = [
+        "(star (fin x1^3 x2))",
+        " (star  (fin x2 x1^3))\n",
+        "(star (fin x1^3 x2))",
+        "(prod (fin x2^-3) (union (fin x1) (fin)))",
+        "(prod (fin x2^-3)\n(union (fin x1) (fin)))",
+        "(fin x2^-3)",
+        "(fin x2^-3)",
+    ]
+
+    def parse_path(text):
+        expr = parse_ratexpr(text)
+        return format_ratexpr(expr), reduced_acceptor(expr)
+
+    runs = []
+    for ask in (parse_path, text_acceptor):
+        monkeypatch.setattr(automata, "_acceptors", {})
+        positive_acceptor(parse_ratexpr("(fin x2^-3)"))
+        before = reduced_acceptor.cache_info()
+        answers = [ask(text) for text in texts]
+        after = reduced_acceptor.cache_info()
+        runs.append((
+            [(key, dfa.table, dfa.finals) for key, dfa in answers],
+            after.hits - before.hits,
+            after.misses - before.misses,
+            list(automata._acceptors),
+        ))
+    assert runs[0] == runs[1]
+    assert runs[1][1:3] == (4, 3)
+
+
 def test_positive_acceptor_has_its_own_cache_entry():
     # one expression text keys two DFAs, the reduced one and its positive part
     expr = parse_ratexpr("(star (fin (x1^13 x2^-1) (x2 x1^13)))")
@@ -673,4 +707,4 @@ def test_enumeration_monotone_in_cap(expr):
 @given(expr_strategy(), word_strategy)
 def test_member_agrees_with_oracle_property(expr, w):
     if len(w) <= 3:
-        assert member(expr, w) == (w in enumerate_bounded(expr, 3, slack=8))
+        assert reduced_acceptor(expr).accepts_word(w) == (w in enumerate_bounded(expr, 3, slack=8))
